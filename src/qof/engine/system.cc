@@ -323,7 +323,8 @@ Result<std::string> FileQuerySystem::ExplainQuery(
       LowerToIr(plan.candidates.get(), plan.projection.get(),
                 plan.join_lhs_attrs.get(), plan.join_rhs_attrs.get());
   std::vector<PassTrace> trace;
-  RunPasses(&ir, ir_options_, &built_->regions, &built_->words, &trace);
+  RunPasses(&ir, ir_options_, &built_->regions, &built_->words,
+            &compiler_->partial_rig(), &trace);
   out += "\nIR pipeline:\n";
   for (const PassTrace& step : trace) {
     out += "-- after " + step.name + " --\n" + step.dump;
@@ -698,7 +699,7 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
                          plan.join_lhs_attrs.get(),
                          plan.join_rhs_attrs.get()));
     RunPasses(&*ir, ir_options_, &surface.built->regions,
-              &surface.built->words);
+              &surface.built->words, &surface.compiler->partial_rig());
     ir_exec.emplace(&*ir, &surface.built->regions, &surface.built->words,
                     surface.corpus, ctx, surface.eval_cache, surface.epoch);
     ir_exec->SetJoinFn([&corpus](const RegionSet& cands,

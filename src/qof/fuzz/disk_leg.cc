@@ -8,6 +8,7 @@
 
 #include "qof/engine/system.h"
 #include "qof/fuzz/canon.h"
+#include "qof/fuzz/direct_probe.h"
 #include "qof/store/store_format.h"
 
 namespace qof {
@@ -66,6 +67,13 @@ Status CheckDiskTier(
   store_options.pool_pages = inject ? 1 : 64;
   store_options.inject_evict_pinned = inject;
   QOF_RETURN_IF_ERROR(disk->OpenStore(path, store_options));
+  if (options.bug == InjectedBug::kNarrowEnclosers) {
+    // The in-memory truth keeps correct encloser sets; the store side's
+    // ⊃d/⊂d then page in (and search) too few names.
+    IrPlanOptions planted;
+    planted.inject_narrow_enclosers = true;
+    disk->SetIrOptions(planted);
+  }
 
   CanonExec baseline = Canon(mem->Execute(c.fql, ExecutionMode::kAuto));
   if (!Agrees("disk/auto", baseline,
@@ -87,6 +95,17 @@ Status CheckDiskTier(
                 failure)) {
       return Status::OK();
     }
+  }
+
+  // ⊃d/⊂d on every RIG edge (see RunDirectProbes): encloser-scoped
+  // evaluation must page in the right names off the store, too.
+  QOF_ASSIGN_OR_RETURN(auto mem_probes,
+                       RunDirectProbes(*mem, ProbeEngine::kIr));
+  QOF_ASSIGN_OR_RETURN(auto disk_probes,
+                       RunDirectProbes(*disk, ProbeEngine::kIr));
+  if (!ProbesAgree("disk/direct-probe", mem_probes, disk_probes, failure)) {
+    *failure += " (fql: " + c.fql + ")";
+    return Status::OK();
   }
 
   // Force full materialization: every region instance and posting list

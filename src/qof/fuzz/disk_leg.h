@@ -19,8 +19,10 @@ namespace qof {
 /// execution:
 ///
 ///   1. every execution mode's answers are byte-identical to the
-///      in-memory baseline (the store round trip changes nothing), and
-///   2. a forced full materialization (ExportIndexes, which pages every
+///      in-memory baseline (the store round trip changes nothing),
+///   2. the ⊃d/⊂d probe on every RIG edge (RunDirectProbes) answers the
+///      same off the store as in memory, and
+///   3. a forced full materialization (ExportIndexes, which pages every
 ///      stream in) reproduces the original system's export blob
 ///      byte-for-byte.
 ///
@@ -30,7 +32,9 @@ namespace qof {
 /// than the longest stream, so a multi-page read sees one of its pinned
 /// pages overwritten mid-assembly and decodes another page's bytes —
 /// surfacing as decode errors, count mismatches, or divergent answers,
-/// all of which the cross-checks flag.
+/// all of which the cross-checks flag. It also catches kNarrowEnclosers
+/// (IrPlanOptions::inject_narrow_enclosers, planted on the store side
+/// only) through the probes of check 2.
 ///
 /// Same conventions as the oracle's other legs: a Status error means
 /// the harness itself broke (e.g. the temp file could not be written);

@@ -17,6 +17,7 @@
 #include "qof/fuzz/canon.h"
 #include "qof/fuzz/rng.h"
 #include "qof/fuzz/crash_leg.h"
+#include "qof/fuzz/direct_probe.h"
 #include "qof/fuzz/disk_leg.h"
 #include "qof/fuzz/parallel_leg.h"
 #include "qof/fuzz/session_leg.h"
@@ -411,7 +412,9 @@ Status CheckCaching(
 /// tree run published and vice versa — the canonical-key interop the IR
 /// design promises. This is the leg that catches kBadCse
 /// (IrPlanOptions::inject_bad_cse), whose CSE pass merges selections that
-/// differ only in their word operands.
+/// differ only in their word operands, and kNarrowEnclosers
+/// (IrPlanOptions::inject_narrow_enclosers), whose ⊃d/⊂d nodes miss an
+/// encloser name the tree evaluator's universe still holds.
 Status CheckIrEquivalence(
     const StructuringSchema& schema,
     const std::vector<std::pair<std::string, std::string>>& docs,
@@ -430,9 +433,12 @@ Status CheckIrEquivalence(
     if (with_cache) sys.SetCacheOptions(CacheOptions::Enabled());
     sys.SetParallelism(1);
     QOF_RETURN_IF_ERROR(sys.BuildIndexes(IndexSpec::Full()));
-    if (options.bug == InjectedBug::kBadCse) {
+    if (options.bug == InjectedBug::kBadCse ||
+        options.bug == InjectedBug::kNarrowEnclosers) {
       IrPlanOptions planted;
-      planted.inject_bad_cse = true;
+      planted.inject_bad_cse = options.bug == InjectedBug::kBadCse;
+      planted.inject_narrow_enclosers =
+          options.bug == InjectedBug::kNarrowEnclosers;
       sys.SetIrOptions(planted);
     }
     auto plan = sys.Plan(c.fql);
@@ -462,6 +468,18 @@ Status CheckIrEquivalence(
                     c, failure)) {
           return Status::OK();
         }
+      }
+    }
+    if (!with_cache) {
+      // ⊃d/⊂d on every RIG edge: the IR's encloser-scoped evaluation
+      // against the tree evaluator's universe, whatever the query asked.
+      QOF_ASSIGN_OR_RETURN(auto tree_probes,
+                           RunDirectProbes(sys, ProbeEngine::kTree));
+      QOF_ASSIGN_OR_RETURN(auto ir_probes,
+                           RunDirectProbes(sys, ProbeEngine::kIr));
+      if (!ProbesAgree("ir/direct-probe", tree_probes, ir_probes, failure)) {
+        *failure += " (fql: " + c.fql + ")";
+        return Status::OK();
       }
     }
   }

@@ -60,6 +60,13 @@ namespace qof {
 ///    is untouched, so the parallel leg's serial-vs-parallel
 ///    differential (run with a tiny morsel grain so even small cases
 ///    split) must flag the missing results.
+///  - kNarrowEnclosers makes the IR's encloser analysis keep only the
+///    first RIG predecessor of a ⊃d/⊂d node's inner names
+///    (IrPlanOptions::inject_narrow_enclosers). A name with two possible
+///    parents (a sub rule shared by two fields, or two recursive fields)
+///    then loses one, so members whose parent carries the dropped name
+///    find a wrong or no encloser. The IR leg's tree-vs-IR differential
+///    and the disk leg's memory-vs-store differential must flag it.
 enum class InjectedBug {
   kNone,
   kRelaxDirect,
@@ -71,6 +78,7 @@ enum class InjectedBug {
   kEvictPinned,
   kSkipDirSync,
   kRacyMerge,
+  kNarrowEnclosers,
 };
 
 struct OracleOptions {

@@ -47,6 +47,8 @@ std::string InjectedBugName(InjectedBug bug) {
       return "skip-dir-sync";
     case InjectedBug::kRacyMerge:
       return "racy-merge";
+    case InjectedBug::kNarrowEnclosers:
+      return "narrow-enclosers";
   }
   return "none";
 }
@@ -62,6 +64,7 @@ Result<InjectedBug> InjectedBugFromName(std::string_view name) {
   if (name == "evict-pinned") return InjectedBug::kEvictPinned;
   if (name == "skip-dir-sync") return InjectedBug::kSkipDirSync;
   if (name == "racy-merge") return InjectedBug::kRacyMerge;
+  if (name == "narrow-enclosers") return InjectedBug::kNarrowEnclosers;
   return Status::InvalidArgument("unknown injected bug name: " +
                                  std::string(name));
 }

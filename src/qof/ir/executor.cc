@@ -390,18 +390,13 @@ Result<IrExecutor::Slot> IrExecutor::ComputeNode(int id, EvalStats* stats) {
       QOF_RETURN_IF_ERROR(Charge(stats, out.owned));
       break;
     case IrOp::kDirectlyIncluding:
-    case IrOp::kDirectlyIncluded:
+    case IrOp::kDirectlyIncluded: {
       if (stats != nullptr) ++stats->direct_incl_ops;
-      // Disk-backed indexes materialize every instance for the universe;
-      // surface I/O errors before the infallible Universe() call.
-      QOF_RETURN_IF_ERROR(regions_->EnsureResident());
-      out.owned = node.op == IrOp::kDirectlyIncluding
-                      ? DirectlyIncluding(*inputs[0], *inputs[1],
-                                          regions_->Universe())
-                      : DirectlyIncluded(*inputs[0], *inputs[1],
-                                         regions_->Universe());
+      QOF_ASSIGN_OR_RETURN(out.owned,
+                           ComputeDirect(node, *inputs[0], *inputs[1]));
       QOF_RETURN_IF_ERROR(Charge(stats, out.owned));
       break;
+    }
     case IrOp::kProject:
       // The engine's index-only projection rung: attrs within candidates,
       // uncharged — identical to the tree engine's post-evaluation step.
@@ -422,6 +417,44 @@ Result<IrExecutor::Slot> IrExecutor::ComputeNode(int id, EvalStats* stats) {
       return Status::Internal("unreachable IR op in ComputeNode");
   }
   AddTiming(node.op, MicrosSince(start));
+  return out;
+}
+
+Result<RegionSet> IrExecutor::ComputeDirect(const IrNode& node,
+                                            const RegionSet& r,
+                                            const RegionSet& s) const {
+  if (!node.enclosers.has_value()) {
+    return Status::Internal("direct-inclusion node " + node.key +
+                            " has no encloser set (PassEnclosers not run)");
+  }
+  // The encloser instances come through RegionIndex::Get, which hands out
+  // the one materialized copy — the same set a load slot of that name
+  // borrows — and pages an unloaded disk instance in, charging the I/O to
+  // this node. Names outside E are never touched.
+  auto evaluate = [&](const std::vector<std::string>& names,
+                      bool* shares_span) -> Result<RegionSet> {
+    std::vector<const RegionSet*> parts;
+    parts.reserve(names.size());
+    for (const std::string& name : names) {
+      QOF_ASSIGN_OR_RETURN(const RegionSet* set, regions_->Get(name));
+      parts.push_back(set);
+    }
+    return node.op == IrOp::kDirectlyIncluding
+               ? DirectlyIncluding(r, s, parts, shares_span)
+               : DirectlyIncluded(r, s, parts, shares_span);
+  };
+  bool shares_span = false;
+  QOF_ASSIGN_OR_RETURN(RegionSet out,
+                       evaluate(*node.enclosers, &shares_span));
+  // E holds every inner member's universe parent unless an E region has
+  // the member's exact span: a unit-wrapper rule (X ::= Y) whose region
+  // equals its child's, behind which the parent may carry a name outside
+  // E. Rare enough that re-running against every name — the universe —
+  // is the whole remedy.
+  if (shares_span) {
+    std::vector<std::string> all = regions_->Names();
+    if (node.enclosers->size() < all.size()) return evaluate(all, nullptr);
+  }
   return out;
 }
 

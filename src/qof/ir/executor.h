@@ -148,6 +148,11 @@ class IrExecutor {
   /// computes the node normally); results are byte-identical either way.
   Result<std::optional<Slot>> TryCursorPath(int id, EvalStats* stats);
   Result<Slot> ComputeFused(const IrNode& node, EvalStats* stats);
+  /// ⊃d/⊂d over the union of the node's encloser instances (E, set by
+  /// PassEnclosers) instead of the whole indexed universe — exact, and a
+  /// disk-backed index pages in only E's names.
+  Result<RegionSet> ComputeDirect(const IrNode& node, const RegionSet& r,
+                                  const RegionSet& s) const;
   Status Charge(EvalStats* stats, const RegionSet& produced) const;
 
   /// True when `node` matches TryCursorPath's statically decidable

@@ -166,6 +166,14 @@ std::string IrProgram::Dump() const {
         for (int input : n.inputs) out += " " + Ref(input);
         break;
     }
+    if (n.enclosers.has_value()) {
+      out += " enclosers={";
+      for (size_t k = 0; k < n.enclosers->size(); ++k) {
+        if (k > 0) out += ",";
+        out += (*n.enclosers)[k];
+      }
+      out += "}";
+    }
     if (n.est_cardinality >= 0) {
       out += "  ; card~" +
              std::to_string(static_cast<long long>(n.est_cardinality)) +

@@ -1,6 +1,7 @@
 #ifndef QOF_IR_IR_H_
 #define QOF_IR_IR_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,12 @@ struct IrNode {
   SelectSpec select;   // kSelect
   std::vector<int> inputs;
   std::vector<IrStage> stages;  // kFusedChain
+  /// kDirectlyIncluding/kDirectlyIncluded: the encloser name set E, sorted
+  /// — the region names whose instances can hold the innermost strict
+  /// encloser of an inner-operand member (see PassEnclosers). Unset until
+  /// that pass runs; the executor refuses unannotated direct nodes. Not
+  /// part of `key`: E changes how the node is computed, never its result.
+  std::optional<std::vector<std::string>> enclosers;
   std::string key;
   // Cost annotations (CostEstimator formulas over the shared CostModel
   // table); negative until AnnotateIrCosts runs.
@@ -75,8 +82,8 @@ struct IrProgram {
   int join = -1;  // kJoin over {candidates, join_lhs, join_rhs}
 
   /// Deterministic textual form (goldens, --explain): one `%id = op ...`
-  /// line per node plus a roots line; cost annotations appended when
-  /// present.
+  /// line per node plus a roots line; encloser sets and cost annotations
+  /// appended when present.
   std::string Dump() const;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <unordered_map>
 
 #include "qof/region/cost_model.h"
@@ -78,16 +79,22 @@ Est SelectEst(const Est& child, const SelectSpec& spec,
   return est;
 }
 
-Est InclusionEst(const Est& l, const Est& r, bool direct,
-                 const RegionIndex* regions) {
+/// Σ|E|: the encloser regions a ⊃d/⊂d node sweeps besides its operands.
+double EncloserCardinality(const IrNode& n, const RegionIndex* regions) {
+  double total = 0;
+  if (n.enclosers.has_value()) {
+    for (const std::string& name : *n.enclosers) {
+      total += LoadCardinality(regions, name);
+    }
+  }
+  return total;
+}
+
+Est InclusionEst(const Est& l, const Est& r, double sweep_factor = 1,
+                 double enclosers = 0) {
   Est est;
   est.card = std::min(l.card, r.card);
-  double merge = l.card + r.card;
-  if (direct && regions != nullptr) {
-    merge += static_cast<double>(regions->UniverseSize());
-    merge *= CostModel::kDirectFactor;
-  }
-  est.work = l.work + r.work + merge;
+  est.work = l.work + r.work + (l.card + r.card + enclosers) * sweep_factor;
   return est;
 }
 
@@ -133,12 +140,13 @@ void AnnotateIrCosts(IrProgram* program, const RegionIndex* regions,
         break;
       case IrOp::kIncluding:
       case IrOp::kIncluded:
+        e = InclusionEst(est[n.inputs[0]], est[n.inputs[1]]);
+        break;
       case IrOp::kDirectlyIncluding:
       case IrOp::kDirectlyIncluded:
         e = InclusionEst(est[n.inputs[0]], est[n.inputs[1]],
-                         n.op == IrOp::kDirectlyIncluding ||
-                             n.op == IrOp::kDirectlyIncluded,
-                         regions);
+                         CostModel::kDirectFactor,
+                         EncloserCardinality(n, regions));
         break;
       case IrOp::kFusedChain: {
         e = est[n.inputs[0]];
@@ -149,16 +157,14 @@ void AnnotateIrCosts(IrProgram* program, const RegionIndex* regions,
               break;
             case IrStage::Kind::kIncluding:
             case IrStage::Kind::kIncluded:
-              e = InclusionEst(e, est[stage.rhs], /*direct=*/false,
-                               regions);
+              e = InclusionEst(e, est[stage.rhs]);
               break;
           }
         }
         break;
       }
       case IrOp::kProject:
-        e = InclusionEst(est[n.inputs[0]], est[n.inputs[1]],
-                         /*direct=*/false, regions);
+        e = InclusionEst(est[n.inputs[0]], est[n.inputs[1]]);
         break;
       case IrOp::kJoin: {
         const Est& c = est[n.inputs[0]];
@@ -292,7 +298,8 @@ bool PushdownSweep(IrProgram* p) {
       case IrOp::kDirectlyIncluded: {
         // Results are drawn from the left operand, so the member filter
         // commutes with the containment test (and with ⊃d/⊂d, whose
-        // separators come from the index universe, not the operands).
+        // separators are indexed regions, not operand members: filtering
+        // the left operand never changes which region lies in between).
         std::vector<int> inputs = operands;
         inputs[0] = make_select(operands[0]);
         rewrite_as_child_with(std::move(inputs));
@@ -394,6 +401,110 @@ void PassFuse(IrProgram* program) {
   Canonicalize(program);
 }
 
+std::vector<std::optional<std::vector<std::string>>> InferMemberNames(
+    const IrProgram& program) {
+  std::vector<std::optional<std::vector<std::string>>> names(
+      program.nodes.size());
+  for (size_t i = 0; i < program.nodes.size(); ++i) {
+    const IrNode& n = program.nodes[i];
+    switch (n.op) {
+      case IrOp::kLoad:
+        names[i] = std::vector<std::string>{n.name};
+        break;
+      case IrOp::kUnion: {
+        std::set<std::string> all;
+        bool known = true;
+        for (int input : n.inputs) {
+          if (!names[input].has_value()) {
+            known = false;
+            break;
+          }
+          all.insert(names[input]->begin(), names[input]->end());
+        }
+        if (known) names[i] = std::vector<std::string>(all.begin(), all.end());
+        break;
+      }
+      case IrOp::kIntersect:
+        // A member lies in every input, so any one input's names cover
+        // it; the smallest known set gives the smallest E.
+        for (int input : n.inputs) {
+          if (names[input].has_value() &&
+              (!names[i].has_value() ||
+               names[input]->size() < names[i]->size())) {
+            names[i] = names[input];
+          }
+        }
+        break;
+      case IrOp::kJoin:
+        break;  // unknown
+      default:
+        // Every other op keeps a subset of its first input: selections,
+        // ι/ω, fused chains (their source), projections (attributes
+        // within candidates), and the left operand of ⊃/⊂/⊃d/⊂d/−.
+        names[i] = names[n.inputs[0]];
+        break;
+    }
+  }
+  return names;
+}
+
+namespace {
+
+/// E for one direct node whose inner operand carries `names`.
+std::vector<std::string> EncloserSet(
+    const std::optional<std::vector<std::string>>& names, const Rig* rig,
+    const std::vector<std::string>& indexed, bool narrow) {
+  if (!names.has_value() || rig == nullptr) return indexed;
+  std::set<std::string> preds;
+  for (const std::string& name : *names) {
+    const Rig::NodeId to = rig->FindNode(name);
+    if (to == Rig::kInvalidNode) return indexed;  // no edges to rely on
+    for (Rig::NodeId from = 0; from < static_cast<Rig::NodeId>(
+                                          rig->num_nodes());
+         ++from) {
+      if (rig->HasEdge(from, to)) preds.insert(rig->name(from));
+    }
+  }
+  if (narrow && preds.size() > 1) {
+    // Planted bug (--inject narrow-enclosers): drop every predecessor
+    // but the first. The differential fuzzer must catch the members
+    // whose parent carries a dropped name.
+    preds.erase(std::next(preds.begin()), preds.end());
+  }
+  std::vector<std::string> out;
+  for (const std::string& name : indexed) {
+    // An indexed name the RIG does not know has no edges ruling it out.
+    if (preds.count(name) > 0 || rig->FindNode(name) == Rig::kInvalidNode) {
+      out.push_back(name);
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+void PassEnclosers(IrProgram* program, const Rig* rig,
+                   const RegionIndex* regions, bool inject_narrow_enclosers) {
+  auto direct = [](const IrNode& n) {
+    return n.op == IrOp::kDirectlyIncluding ||
+           n.op == IrOp::kDirectlyIncluded;
+  };
+  if (std::none_of(program->nodes.begin(), program->nodes.end(), direct)) {
+    return;
+  }
+  const std::vector<std::string> indexed =
+      regions != nullptr ? regions->Names() : std::vector<std::string>();
+  const auto names = InferMemberNames(*program);
+  for (IrNode& n : program->nodes) {
+    if (!direct(n)) continue;
+    // The inner operand is the one whose members' parents are sought.
+    const int inner =
+        n.op == IrOp::kDirectlyIncluding ? n.inputs[1] : n.inputs[0];
+    n.enclosers = EncloserSet(names[inner], rig, indexed,
+                              inject_narrow_enclosers);
+  }
+}
+
 void PassManager::Run(IrProgram* program,
                       std::vector<PassTrace>* trace) const {
   if (trace != nullptr) trace->push_back({"lower", program->Dump()});
@@ -405,7 +516,7 @@ void PassManager::Run(IrProgram* program,
 
 void RunPasses(IrProgram* program, const IrPlanOptions& options,
                const RegionIndex* regions, const WordIndex* words,
-               std::vector<PassTrace>* trace) {
+               const Rig* rig, std::vector<PassTrace>* trace) {
   PassManager manager;
   if (options.enable_cse) {
     manager.Add("cse", [&](IrProgram* p) {
@@ -423,6 +534,11 @@ void RunPasses(IrProgram* program, const IrPlanOptions& options,
   if (options.enable_fusion) {
     manager.Add("fuse", [](IrProgram* p) { PassFuse(p); });
   }
+  // Not switchable: the executor evaluates ⊃d/⊂d against E. Runs last so
+  // it sees the final operand shapes.
+  manager.Add("enclosers", [&](IrProgram* p) {
+    PassEnclosers(p, rig, regions, options.inject_narrow_enclosers);
+  });
   // Final annotation so dumps and --explain show the costs the executor
   // will actually see.
   manager.Add("annotate",

@@ -2,11 +2,13 @@
 #define QOF_IR_PASSES_H_
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "qof/ir/ir.h"
 #include "qof/region/region_index.h"
+#include "qof/rig/rig.h"
 #include "qof/text/word_index.h"
 
 namespace qof {
@@ -28,6 +30,10 @@ struct IrPlanOptions {
   /// the planted `--inject racy-merge` bug (see IrExecutor).
   size_t morsel_grain = 0;
   bool inject_racy_merge = false;
+  /// Planted `--inject narrow-enclosers` bug: PassEnclosers keeps only the
+  /// first RIG predecessor in E, so a name with two possible parents loses
+  /// one and ⊃d/⊂d miss the members whose parent carries the other.
+  bool inject_narrow_enclosers = false;
 };
 
 /// One recorded pipeline step: the program dump after the named pass ran
@@ -57,12 +63,16 @@ class PassManager {
 };
 
 /// The standard pipeline: cse → pushdown → order → fuse, honoring
-/// `options`. `regions`/`words` feed the cost annotations (null is
-/// allowed: every cardinality then estimates as zero and ordering falls
-/// back to the deterministic key tie-break). Cost annotations are
-/// refreshed after the last pass so dumps and --explain stay annotated.
+/// `options`, then the encloser analysis (always on: the executor needs
+/// it). `regions`/`words` feed the cost annotations (null is allowed:
+/// every cardinality then estimates as zero and ordering falls back to
+/// the deterministic key tie-break). `rig` is the RIG of the indexed
+/// names (QueryCompiler::partial_rig()); without one every ⊃d/⊂d node
+/// scopes to all indexed names. Cost annotations are refreshed after the
+/// last pass so dumps and --explain stay annotated.
 void RunPasses(IrProgram* program, const IrPlanOptions& options,
                const RegionIndex* regions, const WordIndex* words,
+               const Rig* rig = nullptr,
                std::vector<PassTrace>* trace = nullptr);
 
 // --- individual passes (exposed for the per-pass golden tests) ---------
@@ -90,8 +100,32 @@ void PassOrderOperands(IrProgram* program, const RegionIndex* regions,
 /// single kFusedChain nodes executed over batched region runs.
 void PassFuse(IrProgram* program);
 
+/// The region names each node's members can carry: every member of node
+/// i's result lies in the instance of some name in entry i (sorted).
+/// nullopt means unknown. Loads name themselves; selections, ι/ω, fused
+/// chains, projections and the left operand of ⊃/⊂/⊃d/⊂d/− pass their
+/// input's names through; ∪ unites its inputs' names; ∩ takes the
+/// smallest known input set (a member lies in every input); joins are
+/// unknown.
+std::vector<std::optional<std::vector<std::string>>> InferMemberNames(
+    const IrProgram& program);
+
+/// Sets every ⊃d/⊂d node's encloser set E: the RIG predecessors (Def.
+/// 3.1: the names that may *directly* include) of the inner operand's
+/// member names — `s` for r ⊃d s, `r` for r ⊂d s — plus any indexed name
+/// the RIG does not know, restricted to the names `regions` indexes. With
+/// unknown member names or no `rig`, E is every indexed name. The true
+/// universe parent of a parse-derived member always carries a name in E,
+/// except when a name in E may share the member's exact span (a unit
+/// wrapper rule); the executor detects that case and widens E to every
+/// name (see IrExecutor).
+void PassEnclosers(IrProgram* program, const Rig* rig,
+                   const RegionIndex* regions,
+                   bool inject_narrow_enclosers = false);
+
 /// Annotates every node with CostEstimator-equivalent cardinality/work
-/// estimates over the shared CostModel table.
+/// estimates over the shared CostModel table. A ⊃d/⊂d node's sweep is
+/// charged Σ|E| over its encloser set (nothing before PassEnclosers).
 void AnnotateIrCosts(IrProgram* program, const RegionIndex* regions,
                      const WordIndex* words);
 

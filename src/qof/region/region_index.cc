@@ -150,6 +150,12 @@ bool RegionIndex::disk_resident() const {
   return !unloaded_.empty();
 }
 
+bool RegionIndex::IsResident(std::string_view name) const {
+  std::unique_lock<std::mutex> lock(lazy_mu_, std::defer_lock);
+  if (source_ != nullptr) lock.lock();
+  return sets_.find(name) != sets_.end();
+}
+
 Status RegionIndex::EnsureResident() const {
   if (source_ == nullptr) return Status::OK();
   std::lock_guard<std::mutex> lock(lazy_mu_);

@@ -123,6 +123,10 @@ class RegionIndex {
   /// True while some instance still lives only in the source.
   bool disk_resident() const;
 
+  /// True when `name`'s instance is in memory: built there, or already
+  /// paged in from the source. False for unregistered names.
+  bool IsResident(std::string_view name) const;
+
   /// Materializes every not-yet-loaded instance. Idempotent. Mutators and
   /// serialization require this first; Universe()/AllExcept() force it
   /// internally, so fallible callers should invoke this beforehand to see

@@ -515,17 +515,25 @@ RegionSet IncludedInStrict(const RegionSet& r, const RegionSet& s) {
   return IncludedInDispatch(r, s, /*strict=*/true);
 }
 
-std::vector<Region> InnermostStrictEnclosers(const RegionSet& queries,
-                                             const RegionSet& universe) {
-  assert(universe.IsLaminar() &&
-         "direct inclusion requires a laminar universe");
-  std::vector<Region> result(queries.size(), Region{0, 0});
-  const std::vector<Region>& uv = universe.regions();
+namespace {
+
+bool IsEncloser(const Region& e) { return e.end > e.start || e.start > 0; }
+
+/// One laminar part's contribution to InnermostStrictEnclosers: for each
+/// query, `best[qi]` becomes this part's innermost strict encloser when
+/// that lies deeper than the one recorded so far. Every strict encloser
+/// of a query covers the query's start point, and in a laminar union the
+/// regions covering one point form a single containment chain, so "deeper"
+/// is just "later in canonical order".
+void EnclosersInPart(const RegionSet& queries, const RegionSet& part,
+                     std::vector<Region>* best, bool* shares_span) {
+  assert(part.IsLaminar() && "direct inclusion requires a laminar universe");
+  const std::vector<Region>& uv = part.regions();
   std::vector<Region> stack;
   size_t ui = 0;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const Region& q = queries[qi];
-    // Push universe members that precede (or equal) q in canonical order;
+    // Push part members that precede (or equal) q in canonical order;
     // exactly those can enclose q.
     while (ui < uv.size() && (uv[ui] < q || uv[ui] == q)) {
       while (!stack.empty() && stack.back().end <= uv[ui].start) {
@@ -534,46 +542,81 @@ std::vector<Region> InnermostStrictEnclosers(const RegionSet& queries,
       stack.push_back(uv[ui]);
       ++ui;
     }
+    // q's own span, when the part holds it, is the last member pushed.
+    if (ui > 0 && uv[ui - 1] == q) *shares_span = true;
     while (!stack.empty() && stack.back().end <= q.start) stack.pop_back();
-    // The stack is now the chain of universe members covering q.start,
+    // The stack is now the chain of part members covering q.start,
     // outermost first. The innermost strict encloser is the deepest entry
     // that strictly contains q (at most the identical span needs skipping).
     for (size_t d = stack.size(); d-- > 0;) {
       if (stack[d] == q) continue;
       if (stack[d].Contains(q)) {
-        result[qi] = stack[d];
+        Region& b = (*best)[qi];
+        if (!IsEncloser(b) || b < stack[d]) b = stack[d];
       }
       break;
     }
   }
+}
+
+}  // namespace
+
+std::vector<Region> InnermostStrictEnclosers(
+    const RegionSet& queries, const std::vector<const RegionSet*>& parts,
+    bool* shares_span) {
+  std::vector<Region> result(queries.size(), Region{0, 0});
+  bool shared = false;
+  for (const RegionSet* part : parts) {
+    EnclosersInPart(queries, *part, &result, &shared);
+  }
+  if (shares_span != nullptr) *shares_span = shared;
   return result;
 }
 
+std::vector<Region> InnermostStrictEnclosers(const RegionSet& queries,
+                                             const RegionSet& universe) {
+  return InnermostStrictEnclosers(queries, {&universe});
+}
+
 RegionSet DirectlyIncluding(const RegionSet& r, const RegionSet& s,
-                            const RegionSet& universe) {
+                            const std::vector<const RegionSet*>& enclosers,
+                            bool* shares_span) {
   // r ⊃d s  ⟺  r is the innermost strict encloser of s within the
   // universe of indexed regions (see region_set.h preconditions): any
   // shallower encloser has that innermost one strictly between itself and
   // s, and any member of `r` strictly containing s *is* an encloser.
-  std::vector<Region> enclosers = InnermostStrictEnclosers(s, universe);
+  std::vector<Region> parents =
+      InnermostStrictEnclosers(s, enclosers, shares_span);
   std::vector<Region> valid;
-  valid.reserve(enclosers.size());
-  for (const Region& e : enclosers) {
-    if (e.end > e.start || e.start > 0) valid.push_back(e);
+  valid.reserve(parents.size());
+  for (const Region& e : parents) {
+    if (IsEncloser(e)) valid.push_back(e);
   }
   return Intersect(r, RegionSet::FromUnsorted(std::move(valid)));
 }
 
 RegionSet DirectlyIncluded(const RegionSet& r, const RegionSet& s,
-                           const RegionSet& universe) {
-  std::vector<Region> enclosers = InnermostStrictEnclosers(r, universe);
+                           const std::vector<const RegionSet*>& enclosers,
+                           bool* shares_span) {
+  std::vector<Region> parents =
+      InnermostStrictEnclosers(r, enclosers, shares_span);
   std::vector<Region> out;
   for (size_t i = 0; i < r.size(); ++i) {
-    const Region& e = enclosers[i];
-    bool has_encloser = e.end > e.start || e.start > 0;
-    if (has_encloser && s.ContainsRegion(e)) out.push_back(r[i]);
+    if (IsEncloser(parents[i]) && s.ContainsRegion(parents[i])) {
+      out.push_back(r[i]);
+    }
   }
   return RegionSet::FromSortedUnique(std::move(out));
+}
+
+RegionSet DirectlyIncluding(const RegionSet& r, const RegionSet& s,
+                            const RegionSet& universe) {
+  return DirectlyIncluding(r, s, {&universe});
+}
+
+RegionSet DirectlyIncluded(const RegionSet& r, const RegionSet& s,
+                           const RegionSet& universe) {
+  return DirectlyIncluded(r, s, {&universe});
 }
 
 RegionSet DirectlyIncludingLayered(

@@ -128,6 +128,16 @@ RegionSet IncludedInStrict(const RegionSet& r, const RegionSet& s);
 std::vector<Region> InnermostStrictEnclosers(const RegionSet& queries,
                                              const RegionSet& universe);
 
+/// The same against the union of `parts` without materializing it: one
+/// sweep per part, keeping per query the deepest of the per-part answers
+/// (in a laminar union every strict encloser of a query lies on one
+/// containment chain). Precondition: the union of the parts and the
+/// queries is laminar. When `shares_span` is non-null it is set to
+/// whether some query's span occurs in some part.
+std::vector<Region> InnermostStrictEnclosers(
+    const RegionSet& queries, const std::vector<const RegionSet*>& parts,
+    bool* shares_span = nullptr);
+
 /// R ⊃d S: members of `r` that directly include some member of `s`, where
 /// "directly" means no region of `universe` lies strictly between the two
 /// (paper §3.1). Preconditions (debug-checked): `universe` is laminar and
@@ -140,6 +150,22 @@ RegionSet DirectlyIncluding(const RegionSet& r, const RegionSet& s,
 /// R ⊂d S: members of `r` directly included in some member of `s`.
 RegionSet DirectlyIncluded(const RegionSet& r, const RegionSet& s,
                            const RegionSet& universe);
+
+/// Encloser-scoped ⊃d/⊂d: the universe is replaced by the union of
+/// `enclosers`, a subset of it. The answer equals the universe answer
+/// whenever the enclosers hold the universe's innermost strict encloser
+/// of every member of the inner operand (`s` for ⊃d, `r` for ⊂d) — the
+/// deepest encloser within a subset that holds the universe's deepest one
+/// is that same region. The IR executor scopes the enclosers to the region
+/// names the RIG allows as a direct parent; `shares_span` (as for
+/// InnermostStrictEnclosers) reports the one case that guarantee needs
+/// checked at run time.
+RegionSet DirectlyIncluding(const RegionSet& r, const RegionSet& s,
+                            const std::vector<const RegionSet*>& enclosers,
+                            bool* shares_span = nullptr);
+RegionSet DirectlyIncluded(const RegionSet& r, const RegionSet& s,
+                           const std::vector<const RegionSet*>& enclosers,
+                           bool* shares_span = nullptr);
 
 /// The paper's §3.1 reference implementation of ⊃d: iterate over nested
 /// layers of `r` via ω, and for each layer subtract the `s` members that

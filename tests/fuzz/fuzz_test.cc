@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "qof/engine/system.h"
+#include "qof/fuzz/direct_probe.h"
 #include "qof/fuzz/repro.h"
 #include "qof/fuzz/shrink.h"
+#include "qof/schema/schema_text.h"
 
 namespace qof {
 namespace {
@@ -270,6 +273,62 @@ TEST(FuzzTest, InjectedBadCseBugIsCaught) {
   EXPECT_TRUE(replay->failed) << report->repro;
 }
 
+TEST(FuzzTest, InjectedNarrowEnclosersBugIsCaughtAndShrunk) {
+  // Encloser sets that keep only the first RIG parent make ⊃d/⊂d miss
+  // members whose parent carries the other name. Generated schemas often
+  // share a sub rule between two fields (two RIG parents); the legs'
+  // direct-inclusion probes must flag it, and the shrunk repro must
+  // replay to the same failure.
+  FuzzOptions options = FastOptions();
+  options.iterations = 60;
+  options.seed = 1;
+  options.bug = InjectedBug::kNarrowEnclosers;
+  options.invalid_fraction = 0.0;
+  auto report = RunFuzz(options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(report->failed) << "injected narrow-enclosers bug survived "
+                              << report->iterations_run << " iterations";
+  EXPECT_NE(report->failure.find("/direct-probe]"), std::string::npos)
+      << report->failure;
+
+  auto replay = ReplayRepro(report->repro, /*workers=*/2);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  EXPECT_TRUE(replay->failed) << report->repro;
+}
+
+TEST(FuzzTest, IrLegProbesCatchNarrowEnclosers) {
+  // In a full oracle run the disk leg reports the planted bug first; the
+  // IR leg's tree-vs-IR probes flag it on their own as well.
+  auto schema = ParseSchemaText(
+      "schema Shared root File view Obj;\n"
+      "File ::= (Obj)* => collect set;\n"
+      "Obj ::= \"obj{\" \"f1<\" Beta \">\" \"f2<\" Gamma \">\" \"}\" "
+      "=> object Obj(Beta: $1, Gamma: $2);\n"
+      "Beta ::= \"(\" (ItemA / \";\")* \")\" => collect set;\n"
+      "Gamma ::= \"(\" (ItemA / \";\")* \")\" => collect set;\n"
+      "ItemA ::= until(\";\", \")\");\n");
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  FileQuerySystem sys(*schema);
+  ASSERT_TRUE(sys.AddFile("d", "obj{f1<(apple;baker)>f2<(cedar)>}\n").ok());
+  ASSERT_TRUE(sys.BuildIndexes(IndexSpec::Full()).ok());
+
+  auto tree = RunDirectProbes(sys, ProbeEngine::kTree);
+  auto ir = RunDirectProbes(sys, ProbeEngine::kIr);
+  ASSERT_TRUE(tree.ok() && ir.ok());
+  std::string failure;
+  EXPECT_TRUE(ProbesAgree("ir/direct-probe", *tree, *ir, &failure))
+      << failure;
+
+  IrPlanOptions planted;
+  planted.inject_narrow_enclosers = true;
+  sys.SetIrOptions(planted);
+  auto narrow = RunDirectProbes(sys, ProbeEngine::kIr);
+  ASSERT_TRUE(narrow.ok());
+  EXPECT_FALSE(ProbesAgree("ir/direct-probe", *tree, *narrow, &failure));
+  // ItemA's parents are {Beta, Gamma}; the bug keeps Beta.
+  EXPECT_NE(failure.find("(Gamma >> ItemA)"), std::string::npos) << failure;
+}
+
 TEST(FuzzTest, MutationSequencesHoldInvariants) {
   // Every case gets a mutation sequence: incremental maintenance must
   // match a from-scratch rebuild, down to the compacted blob bytes.
@@ -366,7 +425,8 @@ TEST(FuzzTest, InjectedBugNamesRoundTrip) {
                           InjectedBug::kStaleSnapshot,
                           InjectedBug::kEvictPinned,
                           InjectedBug::kSkipDirSync,
-                          InjectedBug::kRacyMerge}) {
+                          InjectedBug::kRacyMerge,
+                          InjectedBug::kNarrowEnclosers}) {
     auto parsed = InjectedBugFromName(InjectedBugName(bug));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(*parsed, bug);

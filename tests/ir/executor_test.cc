@@ -71,7 +71,8 @@ class ExecFixture {
   // identical regions; returns the shared answer.
   RegionSet Both(const char* text, EvalStats* tree_stats = nullptr,
                  EvalStats* ir_stats = nullptr,
-                 const IrPlanOptions& options = {}) {
+                 const IrPlanOptions& options = {},
+                 const Rig* rig = nullptr) {
     auto expr = ParseRegionExpr(text);
     EXPECT_TRUE(expr.ok()) << expr.status().ToString();
     ExprEvaluator tree(&index_, &words_, &corpus_);
@@ -81,7 +82,7 @@ class ExecFixture {
     keep_.push_back(*expr);
     IrProgram p =
         LowerToIr(keep_.back().get(), nullptr, nullptr, nullptr);
-    RunPasses(&p, options, &index_, &words_);
+    RunPasses(&p, options, &index_, &words_, rig);
     IrExecutor exec(&p, &index_, &words_, &corpus_);
     auto got = exec.EvaluateRoot(p.candidates, ir_stats);
     EXPECT_TRUE(got.ok()) << got.status().ToString();
@@ -146,6 +147,99 @@ TEST(IrExecutorTest, AgreesWithTreeOnABattery) {
       "(Reference & Reference) | (Authors - Editors)",
   };
   for (const char* text : exprs) f.Both(text);
+}
+
+/// The fixture's schema as a RIG: Name has two possible parents.
+Rig FixtureRig() {
+  Rig rig;
+  rig.AddEdge("Reference", "Authors");
+  rig.AddEdge("Reference", "Editors");
+  rig.AddEdge("Authors", "Name");
+  rig.AddEdge("Editors", "Name");
+  rig.AddEdge("Name", "First_Name");
+  rig.AddEdge("Name", "Last_Name");
+  return rig;
+}
+
+TEST(IrExecutorTest, RigScopedDirectInclusionAgreesWithTree) {
+  ExecFixture f;
+  const Rig rig = FixtureRig();
+  const char* exprs[] = {
+      "Authors >> Name",
+      "Editors >> Name",
+      "Reference >> Name",  // never direct: Authors/Editors in between
+      "Name << Editors",
+      "Last_Name << Name << Authors",
+      "Reference >> (Authors | Editors) >> sigma(\"Chang\", Last_Name)",
+      "(Authors | Editors) >> (Name & (Name > sigma(\"Chang\", Last_Name)))",
+  };
+  for (const char* text : exprs) {
+    f.Both(text, nullptr, nullptr, IrPlanOptions{}, &rig);
+  }
+}
+
+TEST(IrExecutorTest, InjectedNarrowEnclosersLosesTheSecondParent) {
+  ExecFixture f;
+  const Rig rig = FixtureRig();
+  auto expr = ParseRegionExpr("Editors >> Name");
+  ASSERT_TRUE(expr.ok());
+  ExprEvaluator tree(&f.index(), &f.words(), &f.corpus());
+  auto want = tree.Evaluate(**expr);
+  ASSERT_TRUE(want.ok());
+  ASSERT_FALSE(want->empty());
+  // E = {Authors} only: an editor's name finds no encloser at all.
+  IrPlanOptions planted;
+  planted.inject_narrow_enclosers = true;
+  IrProgram p = LowerToIr(expr->get(), nullptr, nullptr, nullptr);
+  RunPasses(&p, planted, &f.index(), &f.words(), &rig);
+  IrExecutor exec(&p, &f.index(), &f.words(), &f.corpus());
+  auto got = exec.EvaluateRoot(p.candidates);
+  ASSERT_TRUE(got.ok());
+  EXPECT_TRUE(got->empty());
+}
+
+TEST(IrExecutorTest, UnitWrapperSpanWidensToEveryName) {
+  // W ::= X (a unit rule): every W region has exactly its X child's
+  // span, so X's RIG parent W never *strictly* encloses it — the real
+  // universe parent is P, which the RIG puts two steps up. The executor
+  // sees an E member sharing an inner member's span and widens E.
+  Corpus corpus;
+  ASSERT_TRUE(corpus.AddDocument("d", "p{ w }  p{ w }").ok());
+  RegionIndex index;
+  index.Add("P", RegionSet::FromUnsorted({{0, 6}, {8, 14}}));
+  index.Add("W", RegionSet::FromUnsorted({{3, 4}, {11, 12}}));
+  index.Add("X", RegionSet::FromUnsorted({{3, 4}, {11, 12}}));
+  WordIndex words = WordIndex::Build(corpus);
+  Rig rig;
+  rig.AddEdge("P", "W");
+  rig.AddEdge("W", "X");
+  for (const char* text : {"P >> X", "X << P"}) {
+    auto expr = ParseRegionExpr(text);
+    ASSERT_TRUE(expr.ok());
+    ExprEvaluator tree(&index, &words, &corpus);
+    auto want = tree.Evaluate(**expr);
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(want->size(), 2u) << text;
+    IrProgram p = LowerToIr(expr->get(), nullptr, nullptr, nullptr);
+    RunPasses(&p, IrPlanOptions{}, &index, &words, &rig);
+    ASSERT_EQ(p.nodes[p.candidates].enclosers,
+              std::vector<std::string>{"W"});
+    IrExecutor exec(&p, &index, &words, &corpus);
+    auto got = exec.EvaluateRoot(p.candidates);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->regions(), want->regions()) << text;
+  }
+}
+
+TEST(IrExecutorTest, UnannotatedDirectNodeIsRefused) {
+  ExecFixture f;
+  auto expr = ParseRegionExpr("Authors >> Name");
+  ASSERT_TRUE(expr.ok());
+  IrProgram p = LowerToIr(expr->get(), nullptr, nullptr, nullptr);
+  IrExecutor exec(&p, &f.index(), &f.words(), &f.corpus());
+  auto got = exec.EvaluateRoot(p.candidates);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kInternal);
 }
 
 TEST(IrExecutorTest, StatsMatchTreeEvaluator) {

@@ -5,6 +5,7 @@
 
 #include "qof/datagen/schemas.h"
 #include "qof/engine/system.h"
+#include "qof/schema/schema_text.h"
 
 namespace qof {
 namespace {
@@ -116,6 +117,14 @@ TEST(ExplainGoldenTest, PipelineSectionGolden) {
             "%4 = including %1 %3  ; card~2 work~17\n"
             "%5 = including %0 %4  ; card~2 work~23\n"
             "roots: candidates=%5\n"
+            "-- after enclosers --\n"
+            "%0 = load Reference  ; card~2 work~2\n"
+            "%1 = load Authors  ; card~2 work~2\n"
+            "%2 = load Last_Name  ; card~5 work~5\n"
+            "%3 = select sigma(\"Chang\", %2)  ; card~3 work~10\n"
+            "%4 = including %1 %3  ; card~2 work~17\n"
+            "%5 = including %0 %4  ; card~2 work~23\n"
+            "roots: candidates=%5\n"
             "-- after annotate --\n"
             "%0 = load Reference  ; card~2 work~2\n"
             "%1 = load Authors  ; card~2 work~2\n"
@@ -124,6 +133,47 @@ TEST(ExplainGoldenTest, PipelineSectionGolden) {
             "%4 = including %1 %3  ; card~2 work~17\n"
             "%5 = including %0 %4  ; card~2 work~23\n"
             "roots: candidates=%5\n");
+}
+
+// A recursive grammar (Obj ::= ... Nest, Nest ::= { Obj* }): the RIG
+// rewrite cannot relax Obj >> Alpha, so the plan keeps a ⊃d whose
+// encloser set E = {Obj} (Alpha's only RIG parent) the dump shows.
+constexpr char kRecursiveSchema[] =
+    "schema Nested root File view Obj;\n"
+    "File ::= (Obj)* => collect set;\n"
+    "Obj ::= \"obj{\" \"f1<\" Alpha \">\" \"f2<\" Nest \">\" \"}\" "
+    "=> object Obj(Alpha: $1, Nest: $2);\n"
+    "Alpha ::= word;\n"
+    "Nest ::= \"{\" (Obj)* \"}\" => collect set;\n";
+
+constexpr char kRecursiveCorpus[] =
+    "obj{f1<zulu>f2<{obj{f1<apple>f2<{}>}}>}\n"
+    "obj{f1<apple>f2<{obj{f1<zulu>f2<{}>}}>}\n";
+
+TEST(ExplainGoldenTest, DirectInclusionShowsEnclosersGolden) {
+  auto schema = ParseSchemaText(kRecursiveSchema);
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  FileQuerySystem system(*schema);
+  ASSERT_TRUE(system.AddFile("objs.txt", kRecursiveCorpus).ok());
+  ASSERT_TRUE(system.BuildIndexes(IndexSpec::Full()).ok());
+  const char* query = "SELECT x FROM Obj x WHERE x.Alpha = \"zulu\"";
+  auto explained = system.ExplainQuery(query);
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  size_t at = explained->find("-- after annotate --\n");
+  ASSERT_NE(at, std::string::npos) << *explained;
+  // ⊃d work: inputs 4 + 8, plus (|Obj| + |σ| + Σ|E| = 4 + 2 + 4) times
+  // CostModel::kDirectFactor (4).
+  EXPECT_EQ(explained->substr(at),
+            "-- after annotate --\n"
+            "%0 = load Obj  ; card~4 work~4\n"
+            "%1 = load Alpha  ; card~4 work~4\n"
+            "%2 = select sigma(\"zulu\", %1)  ; card~2 work~8\n"
+            "%3 = directly-including %0 %2 enclosers={Obj}  ; card~2 "
+            "work~52\n"
+            "roots: candidates=%3\n");
+  auto result = system.Execute(query);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->regions.size(), 2u);
 }
 
 TEST(ExplainGoldenTest, DisabledPassesShrinkThePipeline) {

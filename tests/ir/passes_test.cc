@@ -6,8 +6,14 @@
 #include <vector>
 
 #include "qof/algebra/parser.h"
+#include "qof/compiler/query_compiler.h"
+#include "qof/datagen/schemas.h"
+#include "qof/fuzz/grammar_model.h"
 #include "qof/ir/ir.h"
+#include "qof/region/cost_model.h"
 #include "qof/region/region_index.h"
+#include "qof/schema/rig_derivation.h"
+#include "qof/schema/schema_text.h"
 #include "qof/text/corpus.h"
 #include "qof/text/word_index.h"
 
@@ -260,15 +266,15 @@ TEST(PassPipelineTest, FullPipelineIsDeterministic) {
   IrProgram a = f.Lower("sigma(\"x\", C & A) | sigma(\"x\", C & A)");
   IrProgram b = f.Lower("sigma(\"x\", C & A) | sigma(\"x\", C & A)");
   std::vector<PassTrace> trace_a, trace_b;
-  RunPasses(&a, options, f.index(), f.words(), &trace_a);
-  RunPasses(&b, options, f.index(), f.words(), &trace_b);
+  RunPasses(&a, options, f.index(), f.words(), nullptr, &trace_a);
+  RunPasses(&b, options, f.index(), f.words(), nullptr, &trace_b);
   ASSERT_EQ(trace_a.size(), trace_b.size());
   for (size_t i = 0; i < trace_a.size(); ++i) {
     EXPECT_EQ(trace_a[i].name, trace_b[i].name);
     EXPECT_EQ(trace_a[i].dump, trace_b[i].dump);
   }
-  // lower + cse + pushdown + order + fuse + annotate.
-  EXPECT_EQ(trace_a.size(), 6u);
+  // lower + cse + pushdown + order + fuse + enclosers + annotate.
+  EXPECT_EQ(trace_a.size(), 7u);
 }
 
 TEST(PassPipelineTest, DisabledPassesAreSkipped) {
@@ -278,11 +284,217 @@ TEST(PassPipelineTest, DisabledPassesAreSkipped) {
   options.enable_fusion = false;
   IrProgram p = f.Lower("sigma(\"x\", C & A)");
   std::vector<PassTrace> trace;
-  RunPasses(&p, options, f.index(), f.words(), &trace);
-  ASSERT_EQ(trace.size(), 4u);  // lower, pushdown, order, annotate
+  RunPasses(&p, options, f.index(), f.words(), nullptr, &trace);
+  // lower, pushdown, order, enclosers, annotate: the encloser analysis is
+  // not switchable.
+  ASSERT_EQ(trace.size(), 5u);
   EXPECT_EQ(trace[1].name, "pushdown");
   EXPECT_EQ(trace[2].name, "order");
-  EXPECT_EQ(trace[3].name, "annotate");
+  EXPECT_EQ(trace[3].name, "enclosers");
+  EXPECT_EQ(trace[4].name, "annotate");
+}
+
+// --- encloser analysis ------------------------------------------------------
+
+using Names = std::vector<std::string>;
+
+TEST(PassEnclosersTest, InfersMemberNamesPerOpKind) {
+  PassFixture f;
+  auto names = [&](const char* text) {
+    IrProgram p = f.Lower(text);
+    return InferMemberNames(p)[p.candidates];
+  };
+  EXPECT_EQ(names("A"), Names{"A"});
+  EXPECT_EQ(names("sigma(\"x\", A)"), Names{"A"});
+  EXPECT_EQ(names("innermost(B)"), Names{"B"});
+  EXPECT_EQ(names("outermost(B)"), Names{"B"});
+  // The left operand of ⊃/⊂/⊃d/⊂d/− passes through.
+  EXPECT_EQ(names("A > B"), Names{"A"});
+  EXPECT_EQ(names("A < B"), Names{"A"});
+  EXPECT_EQ(names("A >> B"), Names{"A"});
+  EXPECT_EQ(names("A << B"), Names{"A"});
+  EXPECT_EQ(names("A - B - C"), Names{"A"});
+  // ∪ unites; ∩ takes its smallest known input.
+  EXPECT_EQ(names("C | A | B"), (Names{"A", "B", "C"}));
+  EXPECT_EQ(names("(A | B) & C"), Names{"C"});
+
+  // A fused chain passes its source's names through.
+  IrProgram fused = f.Lower("(sigma(\"x\", A) > B) < C");
+  PassFuse(&fused);
+  ASSERT_EQ(fused.nodes[fused.candidates].op, IrOp::kFusedChain);
+  EXPECT_EQ(InferMemberNames(fused)[fused.candidates], Names{"A"});
+
+  // Projection: attribute members within candidates; joins are unknown.
+  auto cand = ParseRegionExpr("A");
+  auto attrs = ParseRegionExpr("B | C");
+  ASSERT_TRUE(cand.ok() && attrs.ok());
+  IrProgram both =
+      LowerToIr(cand->get(), attrs->get(), attrs->get(), cand->get());
+  const auto inferred = InferMemberNames(both);
+  EXPECT_EQ(inferred[both.project], (Names{"B", "C"}));
+  EXPECT_FALSE(inferred[both.join].has_value());
+}
+
+/// An index registering `names` with empty instances — the encloser
+/// analysis reads only the name list.
+RegionIndex NamesOnly(const Names& names) {
+  RegionIndex index;
+  for (const std::string& name : names) index.Add(name, RegionSet());
+  return index;
+}
+
+/// E of the root node of `text` (a ⊃d or ⊂d) after the full pipeline.
+Names EnclosersOf(const char* text, const Rig* rig,
+                  const RegionIndex* regions, IrPlanOptions options = {}) {
+  auto expr = ParseRegionExpr(text);
+  EXPECT_TRUE(expr.ok()) << expr.status().ToString();
+  if (!expr.ok()) return {};
+  IrProgram p = LowerToIr(expr->get(), nullptr, nullptr, nullptr);
+  RunPasses(&p, options, regions, nullptr, rig);
+  const IrNode& root = p.nodes[p.candidates];
+  EXPECT_TRUE(root.enclosers.has_value()) << text;
+  // E never enters the canonical key: IR results keep sharing EvalCache
+  // entries with the tree evaluator.
+  EXPECT_EQ(root.key, (*expr)->ToString());
+  return root.enclosers.value_or(Names{"<unset>"});
+}
+
+/// The recursive grammar-model schema of the disk benchmark corpus.
+Result<StructuringSchema> BenchSchema() {
+  BenchCorpusSpec spec;
+  spec.target_bytes = 0;
+  return ParseSchemaText(MakeBenchCorpus(spec).schema_text);
+}
+
+TEST(PassEnclosersTest, RecursiveGrammarModelSchema) {
+  auto schema = BenchSchema();
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  const Names all = {"Alpha",    "Beta",     "Gamma", "ItemA", "ItemB",
+                     "ItemBKey", "ItemBVal", "Nest",  "Obj"};
+  const Rig rig = DerivePartialRig(
+      DeriveFullRig(*schema), std::set<std::string>(all.begin(), all.end()));
+  const RegionIndex index = NamesOnly(all);
+  EXPECT_EQ(EnclosersOf("Obj >> Alpha", &rig, &index), Names{"Obj"});
+  EXPECT_EQ(EnclosersOf("Obj >> Nest", &rig, &index), Names{"Obj"});
+  EXPECT_EQ(EnclosersOf("Nest >> Obj", &rig, &index), Names{"Nest"});
+  // ⊂d looks up the parents of its *left* operand.
+  EXPECT_EQ(EnclosersOf("Alpha << Obj", &rig, &index), Names{"Obj"});
+  EXPECT_EQ(EnclosersOf("Obj >> (Beta > sigma(\"w\", ItemA))", &rig,
+                        &index),
+            Names{"Obj"});
+  EXPECT_EQ(EnclosersOf("ItemB >> (ItemBKey | ItemBVal)", &rig, &index),
+            Names{"ItemB"});
+}
+
+TEST(PassEnclosersTest, PartialSpecSkipsUnindexedParents) {
+  auto schema = BenchSchema();
+  ASSERT_TRUE(schema.ok());
+  // Beta, Gamma and Nest unindexed: ItemA's nearest indexed ancestor is
+  // Obj, and Obj's own (through Nest) is Obj.
+  const std::set<std::string> indexed = {"Obj", "ItemA", "Alpha"};
+  const Rig rig = DerivePartialRig(DeriveFullRig(*schema), indexed);
+  const RegionIndex index = NamesOnly({"Alpha", "ItemA", "Obj"});
+  EXPECT_EQ(EnclosersOf("Obj >> ItemA", &rig, &index), Names{"Obj"});
+  EXPECT_EQ(EnclosersOf("Obj >> Obj", &rig, &index), Names{"Obj"});
+}
+
+TEST(PassEnclosersTest, ContextualSpecWidensThroughNonBlockingNames) {
+  auto schema = BibtexSchema();
+  ASSERT_TRUE(schema.ok());
+  const Rig full = DeriveFullRig(*schema);
+  const std::set<std::string> indexed = {"Reference", "Authors", "Name",
+                                         "Last_Name"};
+  const RegionIndex index =
+      NamesOnly({"Authors", "Last_Name", "Name", "Reference"});
+
+  QueryCompiler everywhere(&full, indexed, "Reference");
+  EXPECT_EQ(EnclosersOf("Name >> Last_Name", &everywhere.partial_rig(),
+                        &index),
+            Names{"Name"});
+
+  // Name indexed only within Authors: a Name under Editors is not in the
+  // index, so that Name's Last_Name has Reference as its nearest indexed
+  // ancestor. A contextual name blocks no RIG path, so Authors (through
+  // Name) is a possible parent too.
+  QueryCompiler contextual(&full, indexed, "Reference",
+                           {{"Name", "Authors"}});
+  EXPECT_EQ(EnclosersOf("Name >> Last_Name", &contextual.partial_rig(),
+                        &index),
+            (Names{"Authors", "Name", "Reference"}));
+}
+
+TEST(PassEnclosersTest, UnknownNamesScopeToEveryIndexedName) {
+  PassFixture f;
+  const Names all = {"A", "B", "C"};
+  Rig rig;
+  rig.AddEdge("A", "B");
+  rig.AddEdge("B", "C");
+  EXPECT_EQ(EnclosersOf("A >> B", &rig, f.index()), Names{"A"});
+  // No RIG, or a name the RIG does not know: every indexed name.
+  EXPECT_EQ(EnclosersOf("A >> B", nullptr, f.index()), all);
+  Rig partial;
+  partial.AddEdge("A", "B");
+  EXPECT_EQ(EnclosersOf("B >> C", &partial, f.index()), all);
+  // Indexed names missing from the RIG stay in E: nothing rules them out.
+  EXPECT_EQ(EnclosersOf("A >> B", &partial, f.index()), (Names{"A", "C"}));
+
+  // A join inner operand (hand-built: lowering never produces one) has
+  // unknown member names.
+  IrProgram p;
+  for (const char* name : {"A", "B", "C"}) {
+    IrNode load;
+    load.op = IrOp::kLoad;
+    load.name = name;
+    p.nodes.push_back(load);
+  }
+  IrNode join;
+  join.op = IrOp::kJoin;
+  join.inputs = {0, 1, 2};
+  p.nodes.push_back(join);
+  IrNode direct;
+  direct.op = IrOp::kDirectlyIncluding;
+  direct.inputs = {0, 3};
+  p.nodes.push_back(direct);
+  PassEnclosers(&p, &rig, f.index());
+  EXPECT_EQ(p.nodes[4].enclosers, all);
+}
+
+TEST(PassEnclosersTest, InjectedNarrowEnclosersDropsASecondParent) {
+  auto schema = BibtexSchema();
+  ASSERT_TRUE(schema.ok());
+  const Rig full = DeriveFullRig(*schema);
+  QueryCompiler compiler(&full, {"Authors", "Editors", "Name"},
+                         "Reference");
+  const RegionIndex index = NamesOnly({"Authors", "Editors", "Name"});
+  EXPECT_EQ(EnclosersOf("Editors >> Name", &compiler.partial_rig(), &index),
+            (Names{"Authors", "Editors"}));
+  IrPlanOptions planted;
+  planted.inject_narrow_enclosers = true;
+  EXPECT_EQ(EnclosersOf("Editors >> Name", &compiler.partial_rig(), &index,
+                        planted),
+            Names{"Authors"});
+}
+
+TEST(PassEnclosersTest, DumpAndCostUseTheEncloserSet) {
+  PassFixture f;  // |A| = 2, |B| = 4, |C| = 6
+  Rig rig;
+  rig.AddEdge("A", "B");
+  rig.AddNode("C");
+  IrProgram scoped = f.Lower("A >> B");
+  RunPasses(&scoped, IrPlanOptions{}, f.index(), f.words(), &rig);
+  EXPECT_EQ(scoped.Dump(),
+            "%0 = load A  ; card~2 work~2\n"
+            "%1 = load B  ; card~4 work~4\n"
+            "%2 = directly-including %0 %1 enclosers={A}  ; card~2 work~" +
+                std::to_string(static_cast<long long>(
+                    6 + (2 + 4 + 2) * CostModel::kDirectFactor)) +
+                "\n"
+                "roots: candidates=%2\n");
+  // Without a RIG, E is every name and the sweep is charged Σ|E| = 12.
+  IrProgram universe = f.Lower("A >> B");
+  RunPasses(&universe, IrPlanOptions{}, f.index(), f.words());
+  EXPECT_DOUBLE_EQ(universe.nodes[universe.candidates].est_work,
+                   6 + (2 + 4 + 12) * CostModel::kDirectFactor);
 }
 
 }  // namespace

@@ -283,6 +283,101 @@ TEST_P(RegionPropertyTest, DirectImpliesSimpleInclusion) {
   }
 }
 
+// A laminar universe split into named instances the way a region index
+// holds it: a forest (several top-level members with no encloser), empty
+// members, and spans that occur under two names at once.
+std::vector<RegionSet> RandomNamedUniverse(std::mt19937& rng, int names) {
+  std::vector<Region> forest;
+  Subdivide(rng, 0, 300, 4, &forest);
+  std::uniform_int_distribution<uint64_t> pos(1, 299);
+  for (int i = 0; i < 6; ++i) {
+    const uint64_t p = pos(rng);
+    forest.push_back({p, p});
+  }
+  std::uniform_int_distribution<int> pick(0, names - 1);
+  std::bernoulli_distribution twice(0.2);
+  std::vector<std::vector<Region>> by_name(names);
+  for (const Region& r : forest) {
+    by_name[pick(rng)].push_back(r);
+    if (twice(rng)) by_name[pick(rng)].push_back(r);
+  }
+  std::vector<RegionSet> out;
+  for (std::vector<Region>& v : by_name) {
+    out.push_back(RegionSet::FromUnsorted(std::move(v)));
+  }
+  return out;
+}
+
+// The instances (as enclosers) that hold each member's universe parent —
+// one holder per parent, chosen at random when a span has several — plus
+// a random sample of the rest.
+std::vector<const RegionSet*> ParentHolders(
+    std::mt19937& rng, const std::vector<RegionSet>& instances,
+    const RegionSet& members, const RegionSet& universe) {
+  std::vector<char> chosen(instances.size(), 0);
+  std::bernoulli_distribution extra(0.3);
+  for (size_t k = 0; k < instances.size(); ++k) chosen[k] = extra(rng);
+  for (const Region& parent : InnermostStrictEnclosers(members, universe)) {
+    if (parent == Region{0, 0}) continue;  // no encloser
+    std::vector<size_t> holders;
+    for (size_t k = 0; k < instances.size(); ++k) {
+      if (instances[k].ContainsRegion(parent)) holders.push_back(k);
+    }
+    std::uniform_int_distribution<size_t> one(0, holders.size() - 1);
+    chosen[holders[one(rng)]] = 1;
+  }
+  std::vector<const RegionSet*> out;
+  for (size_t k = 0; k < instances.size(); ++k) {
+    if (chosen[k]) out.push_back(&instances[k]);
+  }
+  return out;
+}
+
+TEST_P(RegionPropertyTest, EncloserScopedDirectInclusionMatchesUniverse) {
+  std::mt19937 rng(GetParam() + 8000);
+  for (int iter = 0; iter < 10; ++iter) {
+    const std::vector<RegionSet> instances = RandomNamedUniverse(rng, 4);
+    RegionSet universe;
+    for (const RegionSet& inst : instances) {
+      universe = Union(universe, inst);
+    }
+    ASSERT_TRUE(universe.IsLaminar()) << universe.ToString();
+    const RegionSet r = RandomSubset(rng, universe, 0.5);
+    const RegionSet s = RandomSubset(rng, universe, 0.5);
+
+    // ⊃d: the enclosers must hold the parents of s's members.
+    std::vector<const RegionSet*> e = ParentHolders(rng, instances, s,
+                                                    universe);
+    EXPECT_EQ(DirectlyIncluding(r, s, e), DirectlyIncluding(r, s, universe))
+        << "universe=" << universe.ToString() << "\nr=" << r.ToString()
+        << "\ns=" << s.ToString();
+    // ⊂d: ... and of r's members.
+    e = ParentHolders(rng, instances, r, universe);
+    EXPECT_EQ(DirectlyIncluded(r, s, e), DirectlyIncluded(r, s, universe))
+        << "universe=" << universe.ToString() << "\nr=" << r.ToString()
+        << "\ns=" << s.ToString();
+
+    // shares_span reports exactly whether an inner member's span occurs
+    // in some encloser instance.
+    bool shares = false;
+    InnermostStrictEnclosers(s, e, &shares);
+    bool want = false;
+    for (const Region& q : s) {
+      for (const RegionSet* part : e) want = want || part->ContainsRegion(q);
+    }
+    EXPECT_EQ(shares, want) << s.ToString();
+  }
+}
+
+TEST(RegionEncloserTest, EmptyEncloserSetFindsNoParent) {
+  const RegionSet u = RegionSet::FromUnsorted({{0, 10}, {2, 5}});
+  const RegionSet inner = RegionSet::FromUnsorted({{2, 5}});
+  EXPECT_TRUE(DirectlyIncluding(u, inner, std::vector<const RegionSet*>{})
+                  .empty());
+  EXPECT_TRUE(DirectlyIncluded(inner, u, std::vector<const RegionSet*>{})
+                  .empty());
+}
+
 TEST_P(RegionPropertyTest, InnermostOutermostAreIdempotent) {
   std::mt19937 rng(GetParam() + 7000);
   for (int iter = 0; iter < 10; ++iter) {

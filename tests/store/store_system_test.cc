@@ -16,6 +16,8 @@
 #include "qof/datagen/schemas.h"
 #include "qof/engine/index_io.h"
 #include "qof/engine/system.h"
+#include "qof/fuzz/grammar_model.h"
+#include "qof/schema/schema_text.h"
 #include "qof/store/paged_file.h"
 #include "qof/store/store_format.h"
 
@@ -422,6 +424,70 @@ TEST_F(StoreSystemTest, SnapshotReadersRaceEvictionUnderTinyPool) {
   for (auto& th : readers) th.join();
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(StoreEncloserTest, DirectInclusionPagesInOnlyItsEnclosers) {
+  // On the recursive grammar corpus x.Alpha = "w" keeps Obj >> sigma(w,
+  // Alpha): the RIG cannot relax it, and its encloser set is {Obj}. A
+  // cold disk-backed query must decode Obj (the ⊃d's enclosers, also its
+  // left operand) and Alpha (streamed by the select) and no other name.
+  BenchCorpusSpec spec;
+  spec.target_bytes = 96 << 10;
+  const BenchCorpus corpus = MakeBenchCorpus(spec);
+  auto schema = ParseSchemaText(corpus.schema_text);
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  auto make_system = [&] {
+    auto system = std::make_unique<FileQuerySystem>(*schema);
+    for (const auto& [name, text] : corpus.docs) {
+      EXPECT_TRUE(system->AddFile(name, text).ok());
+    }
+    system->SetParallelism(4);
+    return system;
+  };
+  auto mem = make_system();
+  ASSERT_TRUE(mem->BuildIndexes(IndexSpec::Full()).ok());
+  const std::string path = TempPath("enclosers.qofstore");
+  ASSERT_TRUE(mem->SaveStore(path).ok());
+
+  const std::string word = kFuzzProbeWord;
+  const std::string fql =
+      "SELECT x FROM Obj x WHERE x.Alpha = \"" + word + "\"";
+  auto plan = mem->Plan(fql);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_EQ(plan->candidates->ToString(),
+            "(Obj >> sigma(\"" + word + "\", Alpha))");
+  const RegionIndex& mem_regions = mem->region_index();
+  const uint64_t expected_bytes =
+      16 * (mem_regions.InstanceCount("Obj") +
+            mem_regions.InstanceCount("Alpha")) +
+      8 * mem->word_index().Lookup(word).size();
+
+  for (int workers : {1, 4}) {
+    QueryOptions options;
+    options.exec_workers = workers;
+    auto want = mem->Execute(fql, ExecutionMode::kAuto, options);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_FALSE(want->regions.empty());
+
+    auto disk = make_system();
+    ASSERT_TRUE(disk->OpenStore(path).ok());
+    auto got = disk->Execute(fql, ExecutionMode::kAuto, options);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(Fingerprint(*got), Fingerprint(*want)) << "workers=" << workers;
+    EXPECT_EQ(got->stats.op_timings.count("directly-including"), 1u);
+
+    const RegionIndex& regions = disk->region_index();
+    EXPECT_TRUE(regions.IsResident("Obj"));
+    for (const std::string& name : regions.Names()) {
+      if (name == "Obj" || name == "Alpha") continue;
+      EXPECT_FALSE(regions.IsResident(name))
+          << name << " paged in (workers=" << workers << ")";
+    }
+    // Decoded index bytes: 16 per region of the two instances, 8 per
+    // posting of the selected word — nothing else was read.
+    EXPECT_EQ(got->stats.bytes_scanned, expected_bytes)
+        << "workers=" << workers;
+  }
 }
 
 }  // namespace
