@@ -172,7 +172,6 @@ int main(int argc, char** argv) {
     for (int workers : {1, 2, 4, 8}) {
       auto system = OpenCold(fx);
       QueryOptions options;
-      options.use_ir = true;
       options.exec_workers = workers;
       options.prefetch = prefetch;
       double micros = 0;

@@ -4,7 +4,6 @@
 
 #include "qof/algebra/cost_model.h"
 #include "qof/algebra/select_kernels.h"
-#include "qof/exec/fault_injector.h"
 #include "qof/util/string_util.h"
 
 namespace qof {
@@ -19,19 +18,11 @@ void Record(EvalStats* stats, const RegionSet& produced) {
 
 }  // namespace
 
-Status ExprEvaluator::Charge(EvalStats* stats,
-                             const RegionSet& produced) const {
-  Record(stats, produced);
-  if (ctx_ != nullptr) return ctx_->ChargeRegions(produced.size());
-  return Status::OK();
-}
-
 Result<RegionSet> ExprEvaluator::Evaluate(const RegionExpr& expr,
                                           EvalStats* stats) const {
   if (index_ == nullptr) {
     return Status::InvalidArgument("evaluator has no region index");
   }
-  QOF_RETURN_IF_ERROR(MaybeInjectFault(fault_site::kAlgebraEval));
   QOF_ASSIGN_OR_RETURN(EvalResult result, Eval(expr, stats));
   // A borrowed result (the expression was a bare region name) or a shared
   // cache hit is copied once here at the API boundary; every internal
@@ -52,9 +43,6 @@ std::string ExprEvaluator::SourceName(const RegionExpr& expr) {
 
 Result<ExprEvaluator::EvalResult> ExprEvaluator::Eval(
     const RegionExpr& expr, EvalStats* stats) const {
-  // One governance checkpoint per algebra operator: operators are the
-  // natural unit of progress for index plans.
-  if (ctx_ != nullptr) QOF_RETURN_IF_ERROR(ctx_->Check());
   if (expr.kind() == ExprKind::kName) {
     // Leaves borrow the index instance directly — never cached (a cache
     // entry would only duplicate what the index already holds).
@@ -72,9 +60,9 @@ Result<ExprEvaluator::EvalResult> ExprEvaluator::EvalCached(
   std::string key = expr.ToString();
   if (auto hit = cache_->Lookup(key, epoch_)) {
     if (stats) ++stats->cache_hits;
-    // A hit charges exactly what computing the node would have charged
-    // for its own result, keeping governance behavior cache-independent.
-    QOF_RETURN_IF_ERROR(Charge(stats, *hit));
+    // A hit records exactly what computing the node would have produced,
+    // keeping the statistics cache-independent.
+    Record(stats, *hit);
     return EvalResult::Shared(std::move(hit));
   }
   if (stats) ++stats->cache_misses;
@@ -103,7 +91,7 @@ Result<ExprEvaluator::EvalResult> ExprEvaluator::EvalNode(
                       : expr.kind() == ExprKind::kIntersect
                           ? Intersect(l.set(), r.set())
                           : Difference(l.set(), r.set());
-      QOF_RETURN_IF_ERROR(Charge(stats, out));
+      Record(stats, out);
       return EvalResult::Owned(std::move(out));
     }
     case ExprKind::kInnermost:
@@ -113,7 +101,7 @@ Result<ExprEvaluator::EvalResult> ExprEvaluator::EvalNode(
       RegionSet out = expr.kind() == ExprKind::kInnermost
                           ? Innermost(c.set())
                           : Outermost(c.set());
-      QOF_RETURN_IF_ERROR(Charge(stats, out));
+      Record(stats, out);
       return EvalResult::Owned(std::move(out));
     }
     case ExprKind::kSelectMatches:
@@ -132,7 +120,7 @@ Result<ExprEvaluator::EvalResult> ExprEvaluator::EvalNode(
       RegionSet out = expr.kind() == ExprKind::kIncluding
                           ? Including(l.set(), r.set())
                           : IncludedIn(l.set(), r.set());
-      QOF_RETURN_IF_ERROR(Charge(stats, out));
+      Record(stats, out);
       return EvalResult::Owned(std::move(out));
     }
     case ExprKind::kDirectlyIncluding:
@@ -174,7 +162,7 @@ Result<ExprEvaluator::EvalResult> ExprEvaluator::EvalDirect(
     out = including ? DirectlyIncluding(left, right, index_->Universe())
                     : DirectlyIncluded(left, right, index_->Universe());
   }
-  QOF_RETURN_IF_ERROR(Charge(stats, out));
+  Record(stats, out);
   return EvalResult::Owned(std::move(out));
 }
 
@@ -197,7 +185,7 @@ Result<ExprEvaluator::EvalResult> ExprEvaluator::EvalSelect(
                       expr.ToString()));
   if (stats) stats->bytes_scanned += scanned;
   RegionSet result = RegionSet::FromSortedUnique(std::move(out));
-  QOF_RETURN_IF_ERROR(Charge(stats, result));
+  Record(stats, result);
   return EvalResult::Owned(std::move(result));
 }
 

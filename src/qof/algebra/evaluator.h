@@ -8,7 +8,6 @@
 
 #include "qof/algebra/expr.h"
 #include "qof/cache/eval_cache.h"
-#include "qof/exec/exec_context.h"
 #include "qof/region/region_index.h"
 #include "qof/region/region_set.h"
 #include "qof/text/corpus.h"
@@ -51,28 +50,26 @@ enum class DirectAlgorithm {
 /// and (for phrase verification only) the corpus. The evaluator itself
 /// never scans file text except in kSelectPhrase, which is exactly the
 /// engine's contract: queries run on indices, not on files.
+///
+/// Queries run on the IR executor (qof/ir/executor.h); this recursive
+/// tree walker is its differential-testing oracle (the fuzzer's IR leg,
+/// the executor tests) and the reference side of the IR benches.
 class ExprEvaluator {
  public:
   /// `word_index` may be null if the expression uses no selections;
-  /// `corpus` may be null if it uses no phrase selections. `ctx`
-  /// (optional, borrowed) is polled once per operator and charged for
-  /// every intermediate region produced, making index-plan evaluation
-  /// deadline-aware and budget-bounded.
+  /// `corpus` may be null if it uses no phrase selections.
   /// `cache` (optional, borrowed) shares computed subexpression results
   /// across evaluations: every composite node is looked up by its
   /// serialized form under `epoch` before being computed, and published
-  /// after. Cached hits still charge the region budget, so governance is
-  /// identical with and without the cache.
+  /// after.
   ExprEvaluator(const RegionIndex* region_index,
                 const WordIndex* word_index, const Corpus* corpus,
                 DirectAlgorithm direct = DirectAlgorithm::kFast,
-                const ExecContext* ctx = nullptr,
                 EvalCache* cache = nullptr, CacheEpoch epoch = {})
       : index_(region_index),
         words_(word_index),
         corpus_(corpus),
         direct_(direct),
-        ctx_(ctx),
         cache_(cache),
         epoch_(epoch) {}
 
@@ -111,9 +108,6 @@ class ExprEvaluator {
   /// The actual per-node computation (no cache involvement).
   Result<EvalResult> EvalNode(const RegionExpr& expr,
                               EvalStats* stats) const;
-  /// Records `produced` into stats and charges it against the region
-  /// budget; fails with kBudgetExhausted once the budget is blown.
-  Status Charge(EvalStats* stats, const RegionSet& produced) const;
   Result<EvalResult> EvalSelect(const RegionExpr& expr,
                                 EvalStats* stats) const;
   Result<EvalResult> EvalDirect(const RegionExpr& expr,
@@ -129,7 +123,6 @@ class ExprEvaluator {
   const WordIndex* words_;
   const Corpus* corpus_;
   DirectAlgorithm direct_;
-  const ExecContext* ctx_ = nullptr;
   EvalCache* cache_ = nullptr;
   CacheEpoch epoch_;
 };

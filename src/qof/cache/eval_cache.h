@@ -65,7 +65,7 @@ struct CacheEpoch {
 /// every consumer. Thm 3.6 normal forms are canonical and re-parseable,
 /// so the serialized expression is a perfect key. Bounded by total
 /// regions retained, not entry count — the budget-relevant quantity.
-/// Thread-safe; sits below the algebra evaluator, which consults it.
+/// Thread-safe; the IR executor consults it once per composite node.
 ///
 /// Retention is *per epoch*, not wholesale: entries are keyed by
 /// (epoch, expression), and when the current epoch advances, entries of

@@ -2,6 +2,7 @@
 
 #include "qof/algebra/evaluator.h"
 #include "qof/algebra/expr.h"
+#include "qof/engine/join.h"
 #include "qof/ir/executor.h"
 #include "qof/ir/passes.h"
 
@@ -50,6 +51,77 @@ Result<std::vector<std::pair<std::string, std::string>>> RunDirectProbes(
       answer = executor.EvaluateRoot(program.candidates);
     }
     out.emplace_back(probe->ToString(), Render(answer));
+  }
+  return out;
+}
+
+Result<std::vector<std::pair<std::string, std::string>>> RunPlanRoots(
+    FileQuerySystem& system, std::string_view fql, ProbeEngine engine) {
+  QOF_ASSIGN_OR_RETURN(QueryPlan plan, system.Plan(fql));
+  std::vector<std::pair<std::string, std::string>> out;
+  if (plan.candidates == nullptr) return out;
+  QOF_ASSIGN_OR_RETURN(SnapshotRef snap, system.AcquireSnapshot());
+  const RegionIndex& regions = snap->built->regions;
+  const WordIndex& words = snap->built->words;
+  const Corpus& corpus = *snap->corpus;
+  const bool has_join =
+      plan.join_lhs_attrs != nullptr && plan.join_rhs_attrs != nullptr;
+
+  Result<RegionSet> candidates = RegionSet();
+  Result<RegionSet> project = RegionSet();
+  Result<RegionSet> join = RegionSet();
+  if (engine == ProbeEngine::kTree) {
+    ExprEvaluator evaluator(&regions, &words, &corpus);
+    candidates = evaluator.Evaluate(*plan.candidates);
+    if (plan.projection != nullptr) {
+      project = [&]() -> Result<RegionSet> {
+        QOF_ASSIGN_OR_RETURN(RegionSet attrs,
+                             evaluator.Evaluate(*plan.projection));
+        QOF_RETURN_IF_ERROR(candidates.status());
+        return IncludedIn(attrs, *candidates);
+      }();
+    }
+    if (has_join) {
+      join = [&]() -> Result<RegionSet> {
+        QOF_RETURN_IF_ERROR(candidates.status());
+        QOF_ASSIGN_OR_RETURN(RegionSet lhs,
+                             evaluator.Evaluate(*plan.join_lhs_attrs));
+        QOF_ASSIGN_OR_RETURN(RegionSet rhs,
+                             evaluator.Evaluate(*plan.join_rhs_attrs));
+        QOF_ASSIGN_OR_RETURN(std::vector<Region> joined,
+                             RunIndexJoin(corpus, *candidates, lhs, rhs));
+        return RegionSet::FromUnsorted(std::move(joined));
+      }();
+    }
+  } else {
+    IrProgram program =
+        LowerToIr(plan.candidates.get(), plan.projection.get(),
+                  plan.join_lhs_attrs.get(), plan.join_rhs_attrs.get());
+    RunPasses(&program, system.ir_options(), &regions, &words,
+              &snap->compiler->partial_rig());
+    IrExecutor executor(&program, &regions, &words, &corpus);
+    executor.SetJoinFn([&corpus](const RegionSet& cands,
+                                 const RegionSet& lhs,
+                                 const RegionSet& rhs) {
+      return RunIndexJoin(corpus, cands, lhs, rhs);
+    });
+    candidates = executor.EvaluateRoot(program.candidates);
+    if (plan.projection != nullptr) {
+      project = executor.EvaluateRoot(program.project);
+    }
+    if (has_join) join = executor.EvaluateRoot(program.join);
+  }
+
+  out.emplace_back("candidates " + plan.candidates->ToString(),
+                   Render(candidates));
+  if (plan.projection != nullptr) {
+    out.emplace_back("project " + plan.projection->ToString(),
+                     Render(project));
+  }
+  if (has_join) {
+    out.emplace_back("join " + plan.join_lhs_attrs->ToString() + " = " +
+                         plan.join_rhs_attrs->ToString(),
+                     Render(join));
   }
   return out;
 }

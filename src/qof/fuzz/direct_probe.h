@@ -2,6 +2,7 @@
 #define QOF_FUZZ_DIRECT_PROBE_H_
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -10,7 +11,8 @@
 
 namespace qof {
 
-/// Which algebra engine evaluates the probes.
+/// Which algebra engine evaluates the probes: kTree the tree evaluator
+/// (the oracle), kIr the production IR pipeline.
 enum class ProbeEngine { kTree, kIr };
 
 /// The direct-inclusion probes of a built system: for every edge (A, B)
@@ -26,6 +28,20 @@ enum class ProbeEngine { kTree, kIr };
 /// answer is the region list ("start:end;...") or "error: <status>".
 Result<std::vector<std::pair<std::string, std::string>>> RunDirectProbes(
     FileQuerySystem& system, ProbeEngine engine);
+
+/// The roots of `fql`'s compiled plan, the only values the two engines
+/// compute differently: the candidates, the projection within candidates
+/// and the index join (each when the plan has that leg). Two-phase,
+/// rendering and degradation consume these unchanged. kTree evaluates
+/// them with the tree evaluator (projection as IncludedIn(attrs,
+/// candidates), join through RunIndexJoin); kIr lowers them the way
+/// FileQuerySystem does, with the system's IrPlanOptions and partial RIG.
+///
+/// Returns one (root, answer) pair per root in the probe format above;
+/// empty when the plan has no candidate expression (view unindexed or
+/// trivially empty).
+Result<std::vector<std::pair<std::string, std::string>>> RunPlanRoots(
+    FileQuerySystem& system, std::string_view fql, ProbeEngine engine);
 
 /// Compares two probe runs; on the first difference fills `failure`
 /// ("[<label>] ...") and returns false.

@@ -406,82 +406,57 @@ Status CheckCaching(
   return Status::OK();
 }
 
-/// The IR leg: the dataflow IR engine must agree with the tree evaluator
-/// byte-for-byte. Both engines run on the *same* system (per cache
-/// setting), so with caches enabled the IR run is also served entries the
-/// tree run published and vice versa — the canonical-key interop the IR
-/// design promises. This is the leg that catches kBadCse
-/// (IrPlanOptions::inject_bad_cse), whose CSE pass merges selections that
-/// differ only in their word operands, and kNarrowEnclosers
-/// (IrPlanOptions::inject_narrow_enclosers), whose ⊃d/⊂d nodes miss an
-/// encloser name the tree evaluator's universe still holds.
+/// The IR leg: the production IR engine must compute every plan root —
+/// candidates, projection within candidates, index join — exactly as the
+/// tree evaluator (the oracle) does. Everything downstream of the roots
+/// (two-phase, rendering, degradation) is engine-independent and checked
+/// against the baseline by legs 1-3; comparing the roots themselves also
+/// catches a wrong candidate superset the two-phase filter would hide.
+/// This is the leg that catches kBadCse (IrPlanOptions::inject_bad_cse),
+/// whose CSE pass merges selections that differ only in their word
+/// operands, and kNarrowEnclosers (IrPlanOptions::inject_narrow_enclosers),
+/// whose ⊃d/⊂d nodes miss an encloser name the tree evaluator's universe
+/// still holds.
 Status CheckIrEquivalence(
     const StructuringSchema& schema,
     const std::vector<std::pair<std::string, std::string>>& docs,
-    const ConcreteCase& c, const OracleOptions& options, bool is_projection,
+    const ConcreteCase& c, const OracleOptions& options,
     std::string* failure) {
-  QueryOptions tree_engine;
-  tree_engine.use_ir = false;
-  QueryOptions ir_engine;
-  ir_engine.use_ir = true;
+  FileQuerySystem sys(schema);
+  for (const auto& [name, text] : docs) {
+    QOF_RETURN_IF_ERROR(sys.AddFile(name, text));
+  }
+  sys.SetParallelism(1);
+  QOF_RETURN_IF_ERROR(sys.BuildIndexes(IndexSpec::Full()));
+  if (options.bug == InjectedBug::kBadCse ||
+      options.bug == InjectedBug::kNarrowEnclosers) {
+    IrPlanOptions planted;
+    planted.inject_bad_cse = options.bug == InjectedBug::kBadCse;
+    planted.inject_narrow_enclosers =
+        options.bug == InjectedBug::kNarrowEnclosers;
+    sys.SetIrOptions(planted);
+  }
 
-  for (bool with_cache : {false, true}) {
-    FileQuerySystem sys(schema);
-    for (const auto& [name, text] : docs) {
-      QOF_RETURN_IF_ERROR(sys.AddFile(name, text));
+  // Queries the compiler rejects have no roots; legs 1-3 check that every
+  // strategy rejects them alike.
+  if (sys.Plan(c.fql).ok()) {
+    QOF_ASSIGN_OR_RETURN(auto tree_roots,
+                         RunPlanRoots(sys, c.fql, ProbeEngine::kTree));
+    QOF_ASSIGN_OR_RETURN(auto ir_roots,
+                         RunPlanRoots(sys, c.fql, ProbeEngine::kIr));
+    if (!ProbesAgree("ir/roots", tree_roots, ir_roots, failure)) {
+      *failure += " (fql: " + c.fql + ")";
+      return Status::OK();
     }
-    if (with_cache) sys.SetCacheOptions(CacheOptions::Enabled());
-    sys.SetParallelism(1);
-    QOF_RETURN_IF_ERROR(sys.BuildIndexes(IndexSpec::Full()));
-    if (options.bug == InjectedBug::kBadCse ||
-        options.bug == InjectedBug::kNarrowEnclosers) {
-      IrPlanOptions planted;
-      planted.inject_bad_cse = options.bug == InjectedBug::kBadCse;
-      planted.inject_narrow_enclosers =
-          options.bug == InjectedBug::kNarrowEnclosers;
-      sys.SetIrOptions(planted);
-    }
-    auto plan = sys.Plan(c.fql);
-    const bool index_only_answers =
-        plan.ok() && plan->exact &&
-        (!is_projection || plan->projection != nullptr);
-    std::string cache_label = with_cache ? " cache=on" : " cache=off";
+  }
 
-    for (int parallelism : {1, options.workers}) {
-      sys.SetParallelism(parallelism);
-      std::string label_tail =
-          cache_label + " p=" + std::to_string(parallelism);
-      struct ModeCase {
-        ExecutionMode mode;
-        const char* name;
-      };
-      std::vector<ModeCase> modes = {{ExecutionMode::kAuto, "auto"},
-                                     {ExecutionMode::kTwoPhase,
-                                      "two-phase"}};
-      if (index_only_answers) {
-        modes.push_back({ExecutionMode::kIndexOnly, "index-only"});
-      }
-      for (const ModeCase& mc : modes) {
-        CanonExec tree = Canon(sys.Execute(c.fql, mc.mode, tree_engine));
-        CanonExec ir = Canon(sys.Execute(c.fql, mc.mode, ir_engine));
-        if (!Agrees("ir/" + std::string(mc.name) + label_tail, tree, ir,
-                    c, failure)) {
-          return Status::OK();
-        }
-      }
-    }
-    if (!with_cache) {
-      // ⊃d/⊂d on every RIG edge: the IR's encloser-scoped evaluation
-      // against the tree evaluator's universe, whatever the query asked.
-      QOF_ASSIGN_OR_RETURN(auto tree_probes,
-                           RunDirectProbes(sys, ProbeEngine::kTree));
-      QOF_ASSIGN_OR_RETURN(auto ir_probes,
-                           RunDirectProbes(sys, ProbeEngine::kIr));
-      if (!ProbesAgree("ir/direct-probe", tree_probes, ir_probes, failure)) {
-        *failure += " (fql: " + c.fql + ")";
-        return Status::OK();
-      }
-    }
+  // ⊃d/⊂d on every RIG edge: the IR's encloser-scoped evaluation against
+  // the tree evaluator's universe, whatever the query asked.
+  QOF_ASSIGN_OR_RETURN(auto tree_probes,
+                       RunDirectProbes(sys, ProbeEngine::kTree));
+  QOF_ASSIGN_OR_RETURN(auto ir_probes, RunDirectProbes(sys, ProbeEngine::kIr));
+  if (!ProbesAgree("ir/direct-probe", tree_probes, ir_probes, failure)) {
+    *failure += " (fql: " + c.fql + ")";
   }
   return Status::OK();
 }
@@ -1177,11 +1152,11 @@ Result<OracleOutcome> RunOracle(const ConcreteCase& c,
     return outcome;
   }
 
-  // 7. Dataflow IR engine vs. tree evaluator, every strategy, caches off
-  // and on. (Runs before the chain check so a planted IR bug shrinks on
-  // the cheap legs.)
-  QOF_RETURN_IF_ERROR(CheckIrEquivalence(schema, docs, c, options,
-                                         is_projection, &outcome.failure));
+  // 7. Dataflow IR engine vs. tree evaluator on the plan roots and the
+  // direct-inclusion probes. (Runs before the chain check so a planted IR
+  // bug shrinks on the cheap legs.)
+  QOF_RETURN_IF_ERROR(
+      CheckIrEquivalence(schema, docs, c, options, &outcome.failure));
   if (!outcome.failure.empty()) {
     outcome.failed = true;
     return outcome;

@@ -67,7 +67,6 @@ Status CheckParallelExec(
   sys->SetIrOptions(knobs);
 
   QueryOptions serial;
-  serial.use_ir = true;  // the morsel scheduler is the IR executor's
 
   // Serial baseline (this also warms the eval cache, so the parallel
   // runs below get the merge-from-cache interleavings too).

@@ -49,7 +49,7 @@ void MergeStats(EvalStats* into, const EvalStats& s) {
 
 bool Cacheable(IrOp op) {
   // kLoad borrows the index instance (a cache entry would duplicate it);
-  // kProject/kJoin are engine rungs the tree engine never caches either.
+  // kProject/kJoin are engine rungs, not algebra operators.
   return op != IrOp::kLoad && op != IrOp::kProject && op != IrOp::kJoin;
 }
 
@@ -204,8 +204,8 @@ Result<const RegionSet*> IrExecutor::EvalNode(int id, EvalStats* stats) {
   Slot& slot = slots_[id];
   if (slot.done) return &slot.set();
 
-  // One governance checkpoint per operator, exactly like the tree
-  // evaluator (kProject/kJoin are engine rungs the tree never polls for).
+  // One governance checkpoint per algebra operator (kProject/kJoin are
+  // engine rungs, not operators).
   if (ctx_ != nullptr && node.op != IrOp::kProject &&
       node.op != IrOp::kJoin) {
     QOF_RETURN_IF_ERROR(ctx_->Check());
@@ -399,7 +399,7 @@ Result<IrExecutor::Slot> IrExecutor::ComputeNode(int id, EvalStats* stats) {
     }
     case IrOp::kProject:
       // The engine's index-only projection rung: attrs within candidates,
-      // uncharged — identical to the tree engine's post-evaluation step.
+      // uncharged.
       out.owned = IncludedIn(*inputs[0], *inputs[1]);
       break;
     case IrOp::kJoin: {

@@ -51,14 +51,14 @@ using IrOpTimings = std::map<std::string, IrOpTiming>;
 /// query regardless of cache state — the executor-level guarantee the
 /// CSE pass creates.
 ///
-/// Governance, caching and statistics mirror the tree evaluator
-/// node-for-node: one ExecContext::Check() per operator, every composite
-/// node looked up in / published to the shared EvalCache under its
-/// canonical key (identical to the equivalent expression's ToString(),
-/// so IR and tree share entries), cache hits charging their own result
-/// size, and kLoad borrowing index instances uncharged. kProject/kJoin
-/// are engine rungs, not algebra operators: never cached, checked or
-/// charged — exactly like the tree engine's post-evaluation steps.
+/// Governance, caching and statistics are per algebra operator: one
+/// ExecContext::Check() per operator, every composite node looked up in /
+/// published to the shared EvalCache under its canonical key (the
+/// equivalent expression's ToString(), so the key names the same result
+/// as the tree-evaluator oracle does), cache hits charging their own
+/// result size, and kLoad borrowing index instances uncharged.
+/// kProject/kJoin are engine rungs, not algebra operators: never cached,
+/// checked or charged.
 ///
 /// Parallel execution (SetThreadPool with workers > 1) is morsel-driven:
 /// ready IR nodes — nodes whose hard inputs are all computed — run as a
@@ -73,7 +73,9 @@ using IrOpTimings = std::map<std::string, IrOpTiming>;
 class IrExecutor {
  public:
   /// All pointers are borrowed. `words`/`corpus` may be null when no node
-  /// needs them; `ctx`/`cache` follow the tree evaluator's contract.
+  /// needs them. `ctx` (optional) is polled once per operator and charged
+  /// for every region an operator produces; `cache` (optional) serves and
+  /// stores composite nodes under `epoch`.
   IrExecutor(const IrProgram* program, const RegionIndex* regions,
              const WordIndex* words, const Corpus* corpus,
              const ExecContext* ctx = nullptr, EvalCache* cache = nullptr,
@@ -123,8 +125,8 @@ class IrExecutor {
   const IrOpTimings& timings() const { return timings_; }
 
  private:
-  /// Memoized per-node result; mirrors the tree evaluator's EvalResult
-  /// ownership triple.
+  /// Memoized per-node result: a computed set (owned), a borrowed index
+  /// instance, or a shared EvalCache entry.
   struct Slot {
     bool done = false;
     RegionSet owned;

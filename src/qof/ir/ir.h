@@ -49,7 +49,7 @@ struct IrStage {
 /// One IR node. `inputs` refer to lower node ids (the program is kept in
 /// topological order); `key` is the node's canonical serialization —
 /// identical to RegionExpr::ToString() of the equivalent expression tree,
-/// so IR results share EvalCache entries with the tree evaluator.
+/// so cache entries and the tree-evaluator oracle name a node the same way.
 struct IrNode {
   IrOp op = IrOp::kLoad;
   std::string name;    // kLoad

@@ -3,31 +3,17 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 
 namespace qof {
 namespace {
 
-KernelPolicy InitialKernelPolicy() {
-  const char* env = std::getenv("QOF_FORCE_KERNEL");
-  if (env != nullptr) {
-    if (std::strcmp(env, "linear") == 0) return KernelPolicy::kLinear;
-    if (std::strcmp(env, "galloping") == 0) return KernelPolicy::kGalloping;
-  }
-  return KernelPolicy::kAdaptive;
-}
-
-std::atomic<KernelPolicy>& KernelPolicyFlag() {
-  static std::atomic<KernelPolicy> policy{InitialKernelPolicy()};
-  return policy;
-}
+std::atomic<KernelPolicy> g_kernel_policy{KernelPolicy::kAdaptive};
 
 /// True when the galloping kernel should run for operand sizes (m, n),
 /// m <= n, under the current policy.
 bool UseGalloping(size_t small, size_t large) {
   if (small == 0) return false;
-  switch (KernelPolicyFlag().load(std::memory_order_relaxed)) {
+  switch (g_kernel_policy.load(std::memory_order_relaxed)) {
     case KernelPolicy::kLinear:
       return false;
     case KernelPolicy::kGalloping:
@@ -406,11 +392,11 @@ RegionSet Union(const RegionSet& a, const RegionSet& b) {
 }
 
 void SetKernelPolicy(KernelPolicy policy) {
-  KernelPolicyFlag().store(policy, std::memory_order_relaxed);
+  g_kernel_policy.store(policy, std::memory_order_relaxed);
 }
 
 KernelPolicy kernel_policy() {
-  return KernelPolicyFlag().load(std::memory_order_relaxed);
+  return g_kernel_policy.load(std::memory_order_relaxed);
 }
 
 RegionSet Intersect(const RegionSet& a, const RegionSet& b) {

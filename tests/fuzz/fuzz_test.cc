@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "qof/datagen/bibtex_gen.h"
+#include "qof/datagen/schemas.h"
 #include "qof/engine/system.h"
 #include "qof/fuzz/direct_probe.h"
 #include "qof/fuzz/repro.h"
@@ -327,6 +329,59 @@ TEST(FuzzTest, IrLegProbesCatchNarrowEnclosers) {
   EXPECT_FALSE(ProbesAgree("ir/direct-probe", *tree, *narrow, &failure));
   // ItemA's parents are {Beta, Gamma}; the bug keeps Beta.
   EXPECT_NE(failure.find("(Gamma >> ItemA)"), std::string::npos) << failure;
+}
+
+TEST(FuzzTest, PlanRootsAgreeAndCatchBadCse) {
+  // The IR leg compares the plan roots (candidates, projection within
+  // candidates, index join) of both engines directly.
+  auto schema = BibtexSchema();
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  FileQuerySystem sys(*schema);
+  BibtexGenOptions gen;
+  gen.num_references = 40;
+  gen.seed = 7;
+  gen.probe_author_rate = 0.3;
+  gen.probe_editor_rate = 0.3;
+  ASSERT_TRUE(sys.AddFile("refs.bib", GenerateBibtex(gen)).ok());
+  ASSERT_TRUE(sys.BuildIndexes(IndexSpec::Full()).ok());
+
+  auto roots_agree = [&](const char* fql, const char* root,
+                         std::string* failure) {
+    auto tree = RunPlanRoots(sys, fql, ProbeEngine::kTree);
+    auto ir = RunPlanRoots(sys, fql, ProbeEngine::kIr);
+    EXPECT_TRUE(tree.ok() && ir.ok()) << fql;
+    if (!tree.ok() || !ir.ok()) return false;
+    bool has_root = false;
+    for (const auto& [key, answer] : *tree) {
+      has_root |= key.rfind(root, 0) == 0 && !answer.empty();
+    }
+    EXPECT_TRUE(has_root) << fql << " has no non-empty " << root << " root";
+    return ProbesAgree("ir/roots", *tree, *ir, failure);
+  };
+
+  std::string failure;
+  EXPECT_TRUE(roots_agree("SELECT r.Authors.Name.Last_Name FROM References r "
+                          "WHERE r.Editors.Name.Last_Name = \"Chang\"",
+                          "project", &failure))
+      << failure;
+  EXPECT_TRUE(roots_agree("SELECT r FROM References r WHERE "
+                          "r.Editors.Name.Last_Name = "
+                          "r.Authors.Name.Last_Name",
+                          "join", &failure))
+      << failure;
+
+  // Two selections over Publisher that differ only in their word: the
+  // planted CSE merges them, so the IR candidates lose one publisher.
+  constexpr char kTwoWords[] =
+      "SELECT r FROM References r "
+      "WHERE r.Publisher = \"SIAM\" OR r.Publisher = \"Springer\"";
+  EXPECT_TRUE(roots_agree(kTwoWords, "candidates", &failure)) << failure;
+  IrPlanOptions planted;
+  planted.inject_bad_cse = true;
+  sys.SetIrOptions(planted);
+  EXPECT_FALSE(roots_agree(kTwoWords, "candidates", &failure));
+  EXPECT_NE(failure.find("[ir/roots] candidates"), std::string::npos)
+      << failure;
 }
 
 TEST(FuzzTest, MutationSequencesHoldInvariants) {

@@ -290,7 +290,7 @@ TEST(IrExecutorTest, CacheEntriesCrossEngines) {
 
   // Tree evaluator populates the cache...
   ExprEvaluator tree(&f.index(), &f.words(), &f.corpus(),
-                     DirectAlgorithm::kFast, nullptr, &cache, epoch);
+                     DirectAlgorithm::kFast, &cache, epoch);
   EvalStats warm;
   auto want = tree.Evaluate(**expr, &warm);
   ASSERT_TRUE(want.ok());

@@ -190,26 +190,30 @@ TEST(ExplainGoldenTest, DisabledPassesShrinkThePipeline) {
   EXPECT_NE(explained->find("-- after pushdown --"), std::string::npos);
 }
 
-TEST(EngineSelectionTest, UseIrFlagPicksTheEngine) {
+TEST(EngineSelectionTest, IndexPlansRunOnTheIr) {
+  // Every strategy that evaluates algebra runs it on the IR executor and
+  // reports its per-operator timings.
   auto system_owner = MakeSystem();
   FileQuerySystem& system = *system_owner;
-  QueryOptions ir_engine;
-  ir_engine.use_ir = true;
-  QueryOptions tree_engine;
-  tree_engine.use_ir = false;
-
-  auto ir = system.Execute(kQuery, ExecutionMode::kAuto, ir_engine);
-  ASSERT_TRUE(ir.ok()) << ir.status().ToString();
-  EXPECT_EQ(ir->stats.engine, "ir");
-  EXPECT_FALSE(ir->stats.op_timings.empty());
-
-  auto tree = system.Execute(kQuery, ExecutionMode::kAuto, tree_engine);
-  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
-  EXPECT_EQ(tree->stats.engine, "tree");
-  EXPECT_TRUE(tree->stats.op_timings.empty());
-
-  EXPECT_EQ(ir->regions, tree->regions);
-  EXPECT_EQ(ir->RenderedValues(), tree->RenderedValues());
+  struct Case {
+    const char* fql;
+    ExecutionMode mode;
+    const char* strategy;
+  };
+  const Case cases[] = {
+      {kQuery, ExecutionMode::kAuto, "index-only"},
+      {"SELECT r FROM References r "
+       "WHERE r.Editors.Name.Last_Name = r.Authors.Name.Last_Name",
+       ExecutionMode::kAuto, "index-join"},
+      {kQuery, ExecutionMode::kTwoPhase, "two-phase"},
+  };
+  for (const Case& c : cases) {
+    auto result = system.Execute(c.fql, c.mode, QueryOptions());
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->stats.strategy, c.strategy) << c.fql;
+    EXPECT_EQ(result->stats.engine, "ir") << c.fql;
+    EXPECT_FALSE(result->stats.op_timings.empty()) << c.fql;
+  }
 }
 
 TEST(EngineSelectionTest, BaselineReportsNoEngine) {

@@ -213,7 +213,6 @@ TEST(ParallelExecTest, ByteIdentityAcrossWorkerCountsAndStrategies) {
       for (const std::string& fql : g.queries) {
         for (ExecutionMode mode : kModes) {
           QueryOptions serial;
-          serial.use_ir = true;
           Observed base = Observe(system->Execute(fql, mode, serial));
           for (int workers : {2, 4, 8}) {
             QueryOptions par = serial;
@@ -251,7 +250,6 @@ TEST(ParallelExecTest, DiskWorkerPrefetchGridMatchesMemoryBaseline) {
 
   for (const std::string& fql : g.queries) {
     QueryOptions serial;
-    serial.use_ir = true;
     Observed base = Observe(mem->Execute(fql, ExecutionMode::kAuto, serial));
     for (int workers : {1, 2, 4, 8}) {
       for (bool prefetch : {true, false}) {
@@ -271,7 +269,6 @@ TEST(ParallelExecTest, DiskWorkerPrefetchGridMatchesMemoryBaseline) {
 TEST(ParallelExecTest, PreCancelledQueryReturnsCancelled) {
   auto system = MakeSystem(Grammars()[1], /*cache_on=*/false);
   QueryOptions options;
-  options.use_ir = true;
   options.exec_workers = 4;
   options.cancel = std::make_shared<CancelToken>();
   options.cancel->Cancel();
@@ -289,7 +286,6 @@ TEST(ParallelExecTest, CancellationFromSecondThreadMidMorselIsClean) {
   const Grammar& g = Grammars()[0];
   auto system = MakeSystem(g, /*cache_on=*/false);
   QueryOptions serial;
-  serial.use_ir = true;
   Observed base =
       Observe(system->Execute(g.queries[1], ExecutionMode::kAuto, serial));
 
@@ -334,7 +330,6 @@ TEST(ParallelExecTest, BudgetExhaustionSurfacesOneTypedError) {
   auto system = MakeSystem(g, /*cache_on=*/false);
   for (int workers : {2, 4, 8}) {
     QueryOptions options;
-    options.use_ir = true;
     options.exec_workers = workers;
     options.max_regions = 1;
     auto r =
@@ -345,7 +340,6 @@ TEST(ParallelExecTest, BudgetExhaustionSurfacesOneTypedError) {
   }
   // Ungoverned, the same query still runs to completion.
   QueryOptions clean;
-  clean.use_ir = true;
   clean.exec_workers = 4;
   EXPECT_TRUE(
       system->Execute(g.queries[1], ExecutionMode::kTwoPhase, clean).ok());

@@ -1,7 +1,7 @@
 // Adaptive-kernel tests: the galloping variants of Intersect, Difference,
 // Including and IncludedIn must return byte-identical sets to the linear
-// merges under every size skew, and the policy knob (SetKernelPolicy /
-// QOF_FORCE_KERNEL) must pin the kernel without changing any result.
+// merges under every size skew, and the policy knob (SetKernelPolicy)
+// must pin the kernel without changing any result.
 
 #include <algorithm>
 #include <random>
