@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "qof/algebra/cost_model.h"
 #include "qof/algebra/select_kernels.h"
 #include "qof/util/string_util.h"
 
@@ -133,34 +132,53 @@ Result<ExprEvaluator::EvalResult> ExprEvaluator::EvalNode(
   return Status::Internal("unhandled expression kind");
 }
 
+Result<const RegionSet*> ExprEvaluator::CachedUniverse() const {
+  if (!universe_.has_value()) {
+    QOF_ASSIGN_OR_RETURN(RegionSet universe, IndexedUniverse(*index_));
+    universe_ = std::move(universe);
+  }
+  return &*universe_;
+}
+
+Result<std::vector<const RegionSet*>> ExprEvaluator::InstancesExcept(
+    std::string_view excluded) const {
+  std::vector<const RegionSet*> out;
+  for (const std::string& name : index_->Names()) {
+    if (name == excluded) continue;
+    QOF_ASSIGN_OR_RETURN(const RegionSet* set, index_->Get(name));
+    out.push_back(set);
+  }
+  return out;
+}
+
 Result<ExprEvaluator::EvalResult> ExprEvaluator::EvalDirect(
     const RegionExpr& expr, const RegionSet& left, const RegionSet& right,
     EvalStats* stats) const {
   if (stats) ++stats->direct_incl_ops;
-  // ⊃d consults the whole indexed universe; a disk-backed index must
-  // materialize every instance first, and an I/O failure has to surface
-  // here (Universe() itself is infallible and would answer short).
-  QOF_RETURN_IF_ERROR(index_->EnsureResident());
+  // ⊃d consults the whole indexed universe (on a disk-backed index this
+  // pages every instance in, and an I/O failure surfaces here).
   const bool including = expr.kind() == ExprKind::kDirectlyIncluding;
   RegionSet out;
   if (direct_ == DirectAlgorithm::kLayered && including) {
     // "I − {S}": every indexed instance except the one the right operand
     // was drawn from.
-    std::vector<const RegionSet*> others =
-        index_->AllExcept(SourceName(*expr.right()));
+    QOF_ASSIGN_OR_RETURN(std::vector<const RegionSet*> others,
+                         InstancesExcept(SourceName(*expr.right())));
     out = DirectlyIncludingLayered(left, right, others);
   } else if (direct_ == DirectAlgorithm::kLayered) {
     // ⊂d via the layered program for the mirrored operands: r ⊂d s holds
     // iff s ⊃d r; compute the s-side and map back.
-    std::vector<const RegionSet*> others =
-        index_->AllExcept(SourceName(*expr.left()));
+    QOF_ASSIGN_OR_RETURN(std::vector<const RegionSet*> others,
+                         InstancesExcept(SourceName(*expr.left())));
     RegionSet direct_parents = DirectlyIncludingLayered(right, left, others);
     // Keep the left members whose innermost strict encloser is a selected
     // parent; equivalent to the fast path but reusing its sweep.
-    out = DirectlyIncluded(left, direct_parents, index_->Universe());
+    QOF_ASSIGN_OR_RETURN(const RegionSet* universe, CachedUniverse());
+    out = DirectlyIncluded(left, direct_parents, *universe);
   } else {
-    out = including ? DirectlyIncluding(left, right, index_->Universe())
-                    : DirectlyIncluded(left, right, index_->Universe());
+    QOF_ASSIGN_OR_RETURN(const RegionSet* universe, CachedUniverse());
+    out = including ? DirectlyIncluding(left, right, *universe)
+                    : DirectlyIncluded(left, right, *universe);
   }
   Record(stats, out);
   return EvalResult::Owned(std::move(out));

@@ -2,9 +2,11 @@
 #define QOF_ALGEBRA_EVALUATOR_H_
 
 #include <cstdint>
-#include <string>
-
 #include <memory>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "qof/algebra/expr.h"
 #include "qof/cache/eval_cache.h"
@@ -53,7 +55,11 @@ enum class DirectAlgorithm {
 ///
 /// Queries run on the IR executor (qof/ir/executor.h); this recursive
 /// tree walker is its differential-testing oracle (the fuzzer's IR leg,
-/// the executor tests) and the reference side of the IR benches.
+/// the executor tests) and the reference side of the IR benches. It keeps
+/// the paper's definition of ⊃d/⊂d against the whole indexed universe,
+/// built once per evaluator on the first direct node (so one evaluator
+/// must not be shared between threads, and must not outlive a mutation
+/// of its index).
 class ExprEvaluator {
  public:
   /// `word_index` may be null if the expression uses no selections;
@@ -115,6 +121,13 @@ class ExprEvaluator {
                                 const RegionSet& right,
                                 EvalStats* stats) const;
 
+  /// The indexed universe (IndexedUniverse), memoized in `universe_`.
+  Result<const RegionSet*> CachedUniverse() const;
+  /// Every indexed instance except `excluded` — the layered ⊃d program's
+  /// "I − {S}".
+  Result<std::vector<const RegionSet*>> InstancesExcept(
+      std::string_view excluded) const;
+
   /// The region name feeding `expr` through selections, or "" when the
   /// operand is composite (needed by the layered ⊃d program's "I − {S}").
   static std::string SourceName(const RegionExpr& expr);
@@ -125,6 +138,7 @@ class ExprEvaluator {
   DirectAlgorithm direct_;
   EvalCache* cache_ = nullptr;
   CacheEpoch epoch_;
+  mutable std::optional<RegionSet> universe_;
 };
 
 }  // namespace qof

@@ -11,16 +11,17 @@
 namespace qof {
 namespace {
 
-constexpr char kMagicV1[] = "QOFIDX1\n";
-constexpr char kMagicV2[] = "QOFIDX2\n";
-constexpr char kMagicV3[] = "QOFIDX3\n";
+constexpr char kMagic[] = "QOFIDX3\n";
 constexpr size_t kMagicLen = 8;
+// Magics of the retired formats, recognised only to name them in the
+// load error.
+constexpr const char* kRetiredMagics[] = {"QOFIDX1\n", "QOFIDX2\n"};
 
-// v3 header: magic | generation u64 | payload checksum u64. The checksum
+// Header: magic | generation u64 | payload checksum u64. The checksum
 // covers everything after the header (doc table + body) but not the
 // generation, so blobs that differ only in maintenance history still
 // byte-compare after StripGeneration-style zeroing of bytes [8, 16).
-constexpr size_t kV3HeaderLen = kMagicLen + 16;
+constexpr size_t kHeaderLen = kMagicLen + 16;
 
 bool HasMagic(std::string_view blob, const char* magic) {
   return blob.size() >= kMagicLen &&
@@ -151,7 +152,7 @@ Status CheckSerializable(const IndexSpec& spec) {
   return Status::OK();
 }
 
-// --- v2 document table -----------------------------------------------------
+// --- document table --------------------------------------------------------
 
 Result<std::vector<DocFingerprint>> DecodeDocTable(WireReader* reader) {
   QOF_ASSIGN_OR_RETURN(uint32_t count, reader->U32());
@@ -169,25 +170,15 @@ Result<std::vector<DocFingerprint>> DecodeDocTable(WireReader* reader) {
   return docs;
 }
 
-/// Replays Corpus::AddDocument's layout rule over a document table: a
+/// Replays Corpus::AddDocument's layout rule over a document table (a
 /// '\n' separator precedes every document except when the text so far is
-/// empty. Returns each document's implied start plus the total size.
-struct ImpliedLayout {
-  std::vector<TextPos> starts;
-  uint64_t total = 0;
-};
-
-ImpliedLayout LayoutOf(const std::vector<DocFingerprint>& docs) {
-  ImpliedLayout layout;
-  layout.starts.reserve(docs.size());
+/// empty) and returns the implied corpus size.
+uint64_t LayoutSize(const std::vector<DocFingerprint>& docs) {
   uint64_t off = 0;
   for (const DocFingerprint& doc : docs) {
-    TextPos start = off > 0 ? off + 1 : off;
-    layout.starts.push_back(start);
-    off = start + doc.size;
+    off = (off > 0 ? off + 1 : off) + doc.size;
   }
-  layout.total = off;
-  return layout;
+  return off;
 }
 
 std::string JoinStale(const std::vector<std::string>& stale) {
@@ -203,14 +194,14 @@ std::string JoinStale(const std::vector<std::string>& stale) {
   return out;
 }
 
-/// Reads the u64 checksum field of a v3 header and verifies it against
+/// Reads the u64 checksum field of the header and verifies it against
 /// the payload. A mismatch means the blob was damaged after it was
 /// written — a bit flip anywhere in the doc table or index body is
 /// caught here, before any of it is decoded.
 Status VerifyPayloadChecksum(std::string_view blob, WireReader* reader) {
   QOF_ASSIGN_OR_RETURN(uint64_t expected, reader->U64());
-  if (blob.size() < kV3HeaderLen ||
-      Fnv1a(blob.substr(kV3HeaderLen)) != expected) {
+  if (blob.size() < kHeaderLen ||
+      Fnv1a(blob.substr(kHeaderLen)) != expected) {
     return Status::InvalidArgument(
         "index blob corrupt (payload checksum mismatch); rebuild the "
         "indexes");
@@ -218,39 +209,34 @@ Status VerifyPayloadChecksum(std::string_view blob, WireReader* reader) {
   return Status::OK();
 }
 
-Result<SerializedIndexes> DeserializeV1(std::string_view blob,
-                                        std::string_view corpus_text) {
-  WireReader reader(blob.substr(kMagicLen), "index blob");
-  QOF_ASSIGN_OR_RETURN(uint64_t size, reader.U64());
-  QOF_ASSIGN_OR_RETURN(uint64_t fingerprint, reader.U64());
-  if (size != corpus_text.size() ||
-      fingerprint != CorpusFingerprint(corpus_text)) {
-    return Status::InvalidArgument(
-        "index blob was built for a different corpus "
-        "(fingerprint mismatch; v1 blobs cannot name the stale "
-        "documents); rebuild the indexes");
+/// A blob's validated header: its generation, and a reader positioned at
+/// the document table.
+struct BlobHeader {
+  uint64_t generation = 0;
+  WireReader reader;
+};
+
+Result<BlobHeader> ReadHeader(std::string_view blob) {
+  if (!HasMagic(blob, kMagic)) {
+    for (const char* retired : kRetiredMagics) {
+      if (HasMagic(blob, retired)) {
+        return Status::InvalidArgument(
+            "index blob format " + std::string(retired, kMagicLen - 1) +
+            " is no longer readable; rebuild the indexes from the source "
+            "files and re-export them (QOFIDX3)");
+      }
+    }
+    return Status::InvalidArgument("not a qof index blob (bad magic)");
   }
-  SerializedIndexes out;
-  QOF_RETURN_IF_ERROR(DecodeBody(&reader, corpus_text.size(), &out));
-  return out;
+  BlobHeader header{0, WireReader(blob.substr(kMagicLen), "index blob")};
+  QOF_ASSIGN_OR_RETURN(header.generation, header.reader.U64());
+  QOF_RETURN_IF_ERROR(VerifyPayloadChecksum(blob, &header.reader));
+  return header;
 }
 
 }  // namespace
 
 uint64_t CorpusFingerprint(std::string_view text) { return Fnv1a(text); }
-
-Result<std::string> SerializeIndexes(const BuiltIndexes& built,
-                                     const IndexSpec& spec,
-                                     std::string_view corpus_text) {
-  QOF_RETURN_IF_ERROR(MaybeInjectFault(fault_site::kIndexIoSerialize));
-  QOF_RETURN_IF_ERROR(CheckSerializable(spec));
-  std::string out;
-  out.append(kMagicV1, kMagicLen);
-  PutU64(corpus_text.size(), &out);
-  PutU64(CorpusFingerprint(corpus_text), &out);
-  QOF_RETURN_IF_ERROR(AppendBody(built, spec, &out));
-  return out;
-}
 
 Result<std::string> SerializeIndexes(const BuiltIndexes& built,
                                      const IndexSpec& spec,
@@ -268,49 +254,11 @@ Result<std::string> SerializeIndexes(const BuiltIndexes& built,
   QOF_ASSIGN_OR_RETURN(std::string payload, EncodeDocTable(corpus));
   QOF_RETURN_IF_ERROR(AppendBody(built, spec, &payload));
   std::string out;
-  out.reserve(kV3HeaderLen + payload.size());
-  out.append(kMagicV3, kMagicLen);
+  out.reserve(kHeaderLen + payload.size());
+  out.append(kMagic, kMagicLen);
   PutU64(generation, &out);
   PutU64(Fnv1a(payload), &out);
   out += payload;
-  return out;
-}
-
-Result<SerializedIndexes> DeserializeIndexes(std::string_view blob,
-                                             std::string_view corpus_text) {
-  QOF_RETURN_IF_ERROR(MaybeInjectFault(fault_site::kIndexIoDeserialize));
-  if (HasMagic(blob, kMagicV1)) return DeserializeV1(blob, corpus_text);
-  const bool v3 = HasMagic(blob, kMagicV3);
-  if (!v3 && !HasMagic(blob, kMagicV2)) {
-    return Status::InvalidArgument("not a qof index blob (bad magic)");
-  }
-  WireReader reader(blob.substr(kMagicLen), "index blob");
-  SerializedIndexes out;
-  QOF_ASSIGN_OR_RETURN(out.generation, reader.U64());
-  if (v3) QOF_RETURN_IF_ERROR(VerifyPayloadChecksum(blob, &reader));
-  QOF_ASSIGN_OR_RETURN(std::vector<DocFingerprint> docs,
-                       DecodeDocTable(&reader));
-  ImpliedLayout layout = LayoutOf(docs);
-  if (layout.total != corpus_text.size()) {
-    return Status::InvalidArgument(
-        "index blob was built for a different corpus layout (" +
-        std::to_string(layout.total) + " bytes indexed vs " +
-        std::to_string(corpus_text.size()) + " present); rebuild the "
-        "indexes");
-  }
-  std::vector<std::string> stale;
-  for (size_t i = 0; i < docs.size(); ++i) {
-    std::string_view text =
-        corpus_text.substr(layout.starts[i], docs[i].size);
-    if (Fnv1a(text) != docs[i].fnv1a) stale.push_back(docs[i].name);
-  }
-  if (!stale.empty()) {
-    return Status::InvalidArgument(
-        "index blob is stale: " + std::to_string(stale.size()) +
-        " document(s) changed since indexing: " + JoinStale(stale) +
-        "; rebuild the indexes");
-  }
-  QOF_RETURN_IF_ERROR(DecodeBody(&reader, layout.total, &out));
   return out;
 }
 
@@ -322,26 +270,19 @@ Result<SerializedIndexes> DeserializeIndexes(std::string_view blob,
     return Status::InvalidArgument(
         "corpus has tombstoned spans; compact before loading indexes");
   }
-  if (HasMagic(blob, kMagicV1)) {
-    return DeserializeV1(blob, corpus.full_text());
-  }
-  const bool v3 = HasMagic(blob, kMagicV3);
-  if (!v3 && !HasMagic(blob, kMagicV2)) {
-    return Status::InvalidArgument("not a qof index blob (bad magic)");
-  }
-  WireReader reader(blob.substr(kMagicLen), "index blob");
+  QOF_ASSIGN_OR_RETURN(BlobHeader header, ReadHeader(blob));
   SerializedIndexes out;
-  QOF_ASSIGN_OR_RETURN(out.generation, reader.U64());
-  if (v3) QOF_RETURN_IF_ERROR(VerifyPayloadChecksum(blob, &reader));
+  out.generation = header.generation;
   QOF_ASSIGN_OR_RETURN(std::vector<DocFingerprint> docs,
-                       DecodeDocTable(&reader));
+                       DecodeDocTable(&header.reader));
   std::vector<std::string> stale = DiagnoseStaleDocs(docs, corpus);
   if (!stale.empty() && !options.allow_stale) {
     return Status::InvalidArgument(
         "index blob is stale: " + JoinStale(stale) +
         "; rebuild the indexes (or load with allow_stale)");
   }
-  QOF_RETURN_IF_ERROR(DecodeBody(&reader, LayoutOf(docs).total, &out));
+  QOF_RETURN_IF_ERROR(
+      DecodeBody(&header.reader, LayoutSize(docs), &out));
   out.stale_documents = std::move(stale);
   return out;
 }
@@ -446,41 +387,20 @@ std::string FormatStaleDocs(const std::vector<std::string>& stale) {
 
 Result<UncheckedIndexes> DeserializeIndexesUnchecked(std::string_view blob) {
   QOF_RETURN_IF_ERROR(MaybeInjectFault(fault_site::kIndexIoDeserialize));
-  if (HasMagic(blob, kMagicV1)) {
-    return Status::InvalidArgument(
-        "v1 index blobs carry no document table and cannot be converted; "
-        "rebuild and re-export first");
-  }
-  const bool v3 = HasMagic(blob, kMagicV3);
-  if (!v3 && !HasMagic(blob, kMagicV2)) {
-    return Status::InvalidArgument("not a qof index blob (bad magic)");
-  }
-  WireReader reader(blob.substr(kMagicLen), "index blob");
+  QOF_ASSIGN_OR_RETURN(BlobHeader header, ReadHeader(blob));
   UncheckedIndexes out;
-  out.version = v3 ? 3 : 2;
-  QOF_ASSIGN_OR_RETURN(out.indexes.generation, reader.U64());
-  if (v3) QOF_RETURN_IF_ERROR(VerifyPayloadChecksum(blob, &reader));
-  QOF_ASSIGN_OR_RETURN(out.docs, DecodeDocTable(&reader));
+  out.indexes.generation = header.generation;
+  QOF_ASSIGN_OR_RETURN(out.docs, DecodeDocTable(&header.reader));
   QOF_RETURN_IF_ERROR(
-      DecodeBody(&reader, LayoutOf(out.docs).total, &out.indexes));
+      DecodeBody(&header.reader, LayoutSize(out.docs), &out.indexes));
   return out;
 }
 
 Result<BlobInfo> ReadBlobInfo(std::string_view blob) {
+  QOF_ASSIGN_OR_RETURN(BlobHeader header, ReadHeader(blob));
   BlobInfo info;
-  if (HasMagic(blob, kMagicV1)) {
-    info.version = 1;
-    return info;
-  }
-  const bool v3 = HasMagic(blob, kMagicV3);
-  if (!v3 && !HasMagic(blob, kMagicV2)) {
-    return Status::InvalidArgument("not a qof index blob (bad magic)");
-  }
-  info.version = v3 ? 3 : 2;
-  WireReader reader(blob.substr(kMagicLen), "index blob");
-  QOF_ASSIGN_OR_RETURN(info.generation, reader.U64());
-  if (v3) QOF_RETURN_IF_ERROR(VerifyPayloadChecksum(blob, &reader));
-  QOF_ASSIGN_OR_RETURN(info.docs, DecodeDocTable(&reader));
+  info.generation = header.generation;
+  QOF_ASSIGN_OR_RETURN(info.docs, DecodeDocTable(&header.reader));
   return info;
 }
 

@@ -17,24 +17,25 @@ namespace qof {
 /// a pre-processing service; persisting its output lets a session reuse
 /// it without re-parsing the corpus).
 ///
-/// Three little-endian formats share the spec/region/word body encoding:
+/// The format is "QOFIDX3\n", little-endian: maintenance generation, a
+/// header FNV-1a checksum over the payload, then the payload — a
+/// per-document table of (name, size, fingerprint) followed by the
+/// spec/region/word body. Staleness is diagnosed per document ("which
+/// files changed"), and the table is what the maintenance journal
+/// (src/qof/maintain/) replays against. The checksum makes a blob damaged
+/// at rest fail loudly at load instead of deserializing flipped postings.
+/// The generation stays outside the checksum: zeroing bytes [8, 16) still
+/// makes blobs from different maintenance histories byte-comparable.
 ///
-///   v1 "QOFIDX1\n" — corpus size + whole-corpus FNV-1a fingerprint.
-///     Legacy; still read, no longer written by the system.
-///   v2 "QOFIDX2\n" — maintenance generation + a per-document table of
-///     (name, size, fingerprint). Staleness is diagnosed per document
-///     ("which files changed"), and the table is what the maintenance
-///     journal (src/qof/maintain/) replays against. Read-only.
-///   v3 "QOFIDX3\n" — v2 plus a header FNV-1a checksum over the payload
-///     (doc table + body), so a blob damaged at rest fails loudly at
-///     load instead of deserializing flipped postings. The generation
-///     stays outside the checksum: zeroing bytes [8, 16) still makes
-///     blobs from different maintenance histories byte-comparable.
+/// The earlier QOFIDX1 (whole-corpus fingerprint) and QOFIDX2 (no
+/// checksum) formats are no longer readable: every reader rejects them
+/// with an error that names the format and says to rebuild and
+/// re-export.
 ///
 /// A WordIndexOptions::token_filter is code and cannot round-trip; specs
 /// using one must rebuild instead of loading.
 
-/// One document's identity in a v2 blob.
+/// One document's identity in a blob's document table.
 struct DocFingerprint {
   std::string name;
   uint64_t size = 0;
@@ -48,7 +49,7 @@ struct DocFingerprint {
 struct SerializedIndexes {
   BuiltIndexes indexes;
   IndexSpec spec;
-  /// Maintenance generation persisted in the blob (0 for v1 blobs).
+  /// Maintenance generation persisted in the blob.
   uint64_t generation = 0;
   /// With DeserializeOptions::allow_stale: human-readable entries naming
   /// each stale document ("modified: a.bib", "missing: b.bib",
@@ -57,21 +58,14 @@ struct SerializedIndexes {
 };
 
 struct DeserializeOptions {
-  /// Load a v2 blob even when its document table does not match the
+  /// Load a blob even when its document table does not match the
   /// corpus, reporting the mismatches in `stale_documents` instead of
   /// failing. The loaded offsets describe the blob's layout, not the
   /// corpus's — callers must reconcile (see tools/qof_index).
   bool allow_stale = false;
 };
 
-/// Serializes `built` as a v1 blob for a corpus whose full text is
-/// `corpus_text` (only its fingerprint is stored). Kept for format
-/// regression tests; new code uses the v2 overload.
-Result<std::string> SerializeIndexes(const BuiltIndexes& built,
-                                     const IndexSpec& spec,
-                                     std::string_view corpus_text);
-
-/// Serializes `built` as a v2 blob with per-document fingerprints from
+/// Serializes `built` as a blob with per-document fingerprints from
 /// `corpus` and the given maintenance generation. Fails if the corpus has
 /// tombstoned spans (offsets would not describe a dense layout): compact
 /// first.
@@ -80,39 +74,31 @@ Result<std::string> SerializeIndexes(const BuiltIndexes& built,
                                      const Corpus& corpus,
                                      uint64_t generation = 0);
 
-/// Deserializes a v1 or v2 blob, validating against `corpus_text` (the
-/// documents laid out exactly as a Corpus concatenates them). For v2
-/// blobs a mismatch names the stale documents; for v1 it can only report
-/// that the corpus changed.
-Result<SerializedIndexes> DeserializeIndexes(std::string_view blob,
-                                             std::string_view corpus_text);
-
-/// Deserializes a v1 or v2 blob against a live Corpus (which must not be
-/// fragmented). v2 staleness is diagnosed per document by name; with
+/// Deserializes a blob against a live Corpus (which must not be
+/// fragmented). Staleness is diagnosed per document by name; with
 /// `options.allow_stale` mismatches load anyway and are reported in
 /// `stale_documents`.
 Result<SerializedIndexes> DeserializeIndexes(std::string_view blob,
                                              const Corpus& corpus,
                                              DeserializeOptions options = {});
 
-/// Peeks at a blob's header without decoding the indexes: format version,
-/// generation, and (v2) the document table. Used by `qof_index inspect`
-/// and by journal-replay state reconstruction.
+/// Peeks at a blob's header without decoding the indexes: generation and
+/// the document table. Used by `qof_index inspect` and by journal-replay
+/// state reconstruction.
 struct BlobInfo {
-  int version = 0;
   uint64_t generation = 0;
-  std::vector<DocFingerprint> docs;  // empty for v1
+  std::vector<DocFingerprint> docs;
 };
 Result<BlobInfo> ReadBlobInfo(std::string_view blob);
 
-/// The corpus/document fingerprint used by both formats (FNV-1a).
+/// The document fingerprint of the blob's document table (FNV-1a).
 uint64_t CorpusFingerprint(std::string_view text);
 
 // --- section codecs shared with the paged store (src/qof/store/) -----------
 //
 // The disk-resident store persists the spec and the document table as
 // opaque, checksummed sections; these are their encodings — identical to
-// the corresponding chunks of a v2/v3 blob, so a converted store and a
+// the corresponding chunks of a blob, so a converted store and a
 // blob describe the same indexes byte-for-byte.
 
 /// Appends the spec encoding (mode, fold_case, names, within pairs).
@@ -121,7 +107,7 @@ void EncodeIndexSpec(const IndexSpec& spec, std::string* out);
 /// Decodes a standalone spec section (must consume every byte).
 Result<IndexSpec> DecodeIndexSpec(std::string_view bytes);
 
-/// The v2 document table (u32 count, then name/size/fingerprint rows).
+/// The document table (u32 count, then name/size/fingerprint rows).
 /// Fails on a fragmented corpus: compact first.
 Result<std::string> EncodeDocTable(const Corpus& corpus);
 
@@ -139,13 +125,11 @@ std::vector<std::string> DiagnoseStaleDocs(
 /// entries plus a total).
 std::string FormatStaleDocs(const std::vector<std::string>& stale);
 
-/// A v2/v3 blob decoded without a corpus to validate against — the
-/// store-conversion path (`qof_store convert`). v1 blobs have no
-/// document table and are rejected.
+/// A blob decoded without a corpus to validate against — the
+/// store-conversion path (`qof_store convert`).
 struct UncheckedIndexes {
   SerializedIndexes indexes;
   std::vector<DocFingerprint> docs;
-  int version = 0;
 };
 Result<UncheckedIndexes> DeserializeIndexesUnchecked(std::string_view blob);
 

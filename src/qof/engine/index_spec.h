@@ -28,14 +28,6 @@ struct IndexSpec {
 
   WordIndexOptions word_options;
 
-  /// Worker threads for index construction: documents are parsed and
-  /// tokenized in parallel and the per-document contributions merged in
-  /// document order, so the built indexes are identical at any setting.
-  /// 1 = serial (the exact pre-parallelism code path); 0 = inherit the
-  /// system's parallelism (hardware concurrency by default). A build-time
-  /// knob only — it is not serialized with the indexes.
-  int parallelism = 0;
-
   static IndexSpec Full() { return {}; }
   static IndexSpec Partial(std::set<std::string> names) {
     IndexSpec spec;

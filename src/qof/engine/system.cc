@@ -170,9 +170,7 @@ ThreadPool* FileQuerySystem::EnsurePool(int threads) {
 
 Status FileQuerySystem::BuildIndexes(const IndexSpec& spec) {
   std::lock_guard<std::mutex> lock(state_mu_);
-  // spec.parallelism == 0 defers to the system-wide knob.
-  ThreadPool* pool = EnsurePool(
-      spec.parallelism != 0 ? spec.parallelism : parallelism_);
+  ThreadPool* pool = EnsurePool(parallelism_);
   QOF_ASSIGN_OR_RETURN(BuiltIndexes built,
                        qof::BuildIndexes(schema_, *corpus_, spec, pool));
   // Publish-by-swap: snapshots pinning the previous build keep it alive
@@ -184,7 +182,6 @@ Status FileQuerySystem::BuildIndexes(const IndexSpec& spec) {
       spec.within);
   store_.reset();
   index_source_ = "built";
-  index_format_version_ = 0;
   ++builds_;
   ResetMaintainer(/*generation=*/0);
   // A rebuild replaces the compiler: plan-cache entries (keyed by FQL
@@ -221,6 +218,11 @@ Result<QueryPlan> FileQuerySystem::Plan(std::string_view fql) const {
 }
 
 Result<std::string> FileQuerySystem::Explain(std::string_view fql) const {
+  return ExplainPlan(fql, nullptr);
+}
+
+Result<std::string> FileQuerySystem::ExplainPlan(
+    std::string_view fql, std::vector<PassTrace>* trace) const {
   QOF_ASSIGN_OR_RETURN(QueryPlan plan, Plan(fql));
   std::string out = "query:     " + plan.query.ToString() + "\n";
   if (plan.trivially_empty) {
@@ -242,10 +244,15 @@ Result<std::string> FileQuerySystem::Explain(std::string_view fql) const {
   }
   out += "strategy:  " + strategy + "\n";
 
-  CostEstimator estimator(&built_->regions, &built_->words);
+  // The estimate is the one the executor plans with: the candidates root
+  // of the lowered program after the same passes a query runs.
+  IrProgram ir =
+      LowerToIr(plan.candidates.get(), plan.projection.get(),
+                plan.join_lhs_attrs.get(), plan.join_rhs_attrs.get());
+  RunPasses(&ir, ir_options_, &built_->regions, &built_->words,
+            &compiler_->partial_rig(), trace);
   out += "candidates: " + plan.candidates->ToString() + "\n";
-  auto est = estimator.Estimate(*plan.candidates);
-  if (est.ok()) out += "            " + est->ToString() + "\n";
+  out += "            " + DescribeCost(ir.nodes[ir.candidates]) + "\n";
   if (plan.projection != nullptr) {
     out += "projection: " + plan.projection->ToString() + "\n";
   }
@@ -262,15 +269,10 @@ Result<std::string> FileQuerySystem::Explain(std::string_view fql) const {
 
 Result<std::string> FileQuerySystem::ExplainQuery(
     std::string_view fql) const {
-  QOF_ASSIGN_OR_RETURN(std::string out, Explain(fql));
-  QOF_ASSIGN_OR_RETURN(QueryPlan plan, Plan(fql));
-  if (plan.trivially_empty || !plan.view_indexed) return out;
-  IrProgram ir =
-      LowerToIr(plan.candidates.get(), plan.projection.get(),
-                plan.join_lhs_attrs.get(), plan.join_rhs_attrs.get());
   std::vector<PassTrace> trace;
-  RunPasses(&ir, ir_options_, &built_->regions, &built_->words,
-            &compiler_->partial_rig(), &trace);
+  QOF_ASSIGN_OR_RETURN(std::string out, ExplainPlan(fql, &trace));
+  // Empty and baseline plans lower nothing.
+  if (trace.empty()) return out;
   out += "\nIR pipeline:\n";
   for (const PassTrace& step : trace) {
     out += "-- after " + step.name + " --\n" + step.dump;
@@ -899,7 +901,6 @@ Status FileQuerySystem::OpenStore(const std::string& path,
   compiler_ = std::move(compiler);
   store_ = store;
   index_source_ = "paged-store";
-  index_format_version_ = 0;
   ++builds_;
   ResetMaintainer(store->meta().generation);
   if (plan_cache_ != nullptr) plan_cache_->Clear();
@@ -914,7 +915,6 @@ FileQuerySystem::IndexStats FileQuerySystem::index_stats() const {
   IndexStats stats;
   stats.built = built_ != nullptr;
   stats.source = index_source_;
-  stats.format_version = index_format_version_;
   stats.generation =
       maintainer_ != nullptr ? maintainer_->generation() : 0;
   stats.disk_resident =
@@ -934,11 +934,8 @@ Status FileQuerySystem::ImportIndexes(std::string_view blob) {
     std::shared_ptr<BuiltIndexes> built;
     std::shared_ptr<const QueryCompiler> compiler;
     uint64_t generation = 0;
-    int version = 0;
   } staged;
   {
-    QOF_ASSIGN_OR_RETURN(BlobInfo info, ReadBlobInfo(blob));
-    staged.version = info.version;
     QOF_ASSIGN_OR_RETURN(SerializedIndexes loaded,
                          DeserializeIndexes(blob, *corpus_));
     staged.built = std::make_shared<BuiltIndexes>(std::move(loaded.indexes));
@@ -952,8 +949,7 @@ Status FileQuerySystem::ImportIndexes(std::string_view blob) {
   built_ = std::move(staged.built);
   compiler_ = std::move(staged.compiler);
   store_.reset();
-  index_source_ = "blob-v" + std::to_string(staged.version);
-  index_format_version_ = staged.version;
+  index_source_ = "blob-v3";
   ++builds_;
   ResetMaintainer(staged.generation);
   // Same reasoning as BuildIndexes: plans may describe the old spec —

@@ -9,7 +9,6 @@
 #include <string_view>
 #include <vector>
 
-#include "qof/algebra/cost_model.h"
 #include "qof/algebra/evaluator.h"
 #include "qof/cache/cache.h"
 #include "qof/compiler/query_compiler.h"
@@ -168,8 +167,7 @@ class FileQuerySystem {
 
   /// (Re)parses all files and builds word + region indices per the spec.
   /// Documents are processed in parallel on the system's thread pool
-  /// (see SetParallelism; `spec.parallelism` overrides per build); the
-  /// result is identical at any worker count.
+  /// (see SetParallelism); the result is identical at any worker count.
   Status BuildIndexes(const IndexSpec& spec = IndexSpec::Full());
 
   /// Sets the worker count shared by index builds and two-phase query
@@ -226,8 +224,11 @@ class FileQuerySystem {
   Result<QueryPlan> Plan(std::string_view fql) const;
 
   /// Human-readable plan report: the strategy kAuto would pick, the
-  /// candidate/projection/join expressions with cost estimates, exactness
-  /// and the compiler's notes. Requires built indexes.
+  /// candidate/projection/join expressions, the candidates' cost estimate
+  /// (the annotated candidates root of the optimized IR program — the
+  /// same AnnotateIrCosts figures ExplainQuery dumps), exactness and the
+  /// compiler's notes. Pages no region instance in on a disk-backed
+  /// index. Requires built indexes.
   Result<std::string> Explain(std::string_view fql) const;
 
   /// Explain() plus the IR optimizer pipeline: the lowered dataflow
@@ -309,11 +310,8 @@ class FileQuerySystem {
   /// Provenance and health of the installed indexes.
   struct IndexStats {
     bool built = false;
-    /// "none" | "built" | "blob-v1" | "blob-v2" | "blob-v3" |
-    /// "paged-store"
+    /// "none" | "built" | "blob-v3" | "paged-store"
     std::string source = "none";
-    /// Blob format version for imports (1/2/3); 0 otherwise.
-    int format_version = 0;
     uint64_t generation = 0;
     /// True while index data still pages in from a store file.
     bool disk_resident = false;
@@ -323,6 +321,11 @@ class FileQuerySystem {
   IndexStats index_stats() const;
 
  private:
+  /// Explain()'s body; lowers and optimizes the plan once, recording the
+  /// per-pass dumps into `trace` when non-null (ExplainQuery).
+  Result<std::string> ExplainPlan(std::string_view fql,
+                                  std::vector<PassTrace>* trace) const;
+
   /// Everything one query execution reads, bundled so the same body
   /// serves the live state (members) and a pinned snapshot. When
   /// `scan_counter` is set, byte accounting for the whole execution is
@@ -421,7 +424,6 @@ class FileQuerySystem {
   std::shared_ptr<const PagedStore> store_;
   /// index_stats() provenance: how built_ came to be.
   std::string index_source_ = "none";
-  int index_format_version_ = 0;
   /// Counts BuildIndexes/ImportIndexes (the `build` epoch component:
   /// generations reset across rebuilds, epochs must not collide).
   uint64_t builds_ = 0;

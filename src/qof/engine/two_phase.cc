@@ -186,7 +186,6 @@ Result<TwoPhaseResult> RunTwoPhase(const StructuringSchema& schema,
     }
     if (!keep) continue;
     result.regions.push_back(candidate);
-    result.objects.push_back(id);
     if (query.IsProjection()) {
       QOF_ASSIGN_OR_RETURN(
           std::vector<Value> values,

@@ -18,10 +18,6 @@ namespace qof {
 /// Output of phase 2 over candidate regions.
 struct TwoPhaseResult {
   std::vector<Region> regions;   // candidates that survived the filter
-  /// Ids of the surviving objects in the caller's store. Populated by the
-  /// serial path only: parallel workers materialize candidates in
-  /// per-worker scratch stores that are discarded on return.
-  std::vector<ObjectId> objects;
   std::vector<Value> projected;  // fully materialized, store-independent
   uint64_t candidates_parsed = 0;
   /// Soft-fail mode only: a governance limit tripped mid-phase-2 and the

@@ -39,10 +39,11 @@ Result<std::vector<std::pair<std::string, std::string>>> RunDirectProbes(
   }
 
   std::vector<std::pair<std::string, std::string>> out;
+  // One oracle evaluator for every probe: it builds the universe once.
+  ExprEvaluator evaluator(&regions, &words, snap->corpus.get());
   for (const RegionExprPtr& probe : probes) {
     Result<RegionSet> answer = RegionSet();
     if (engine == ProbeEngine::kTree) {
-      ExprEvaluator evaluator(&regions, &words, snap->corpus.get());
       answer = evaluator.Evaluate(*probe);
     } else {
       IrProgram program = LowerToIr(probe.get(), nullptr, nullptr, nullptr);

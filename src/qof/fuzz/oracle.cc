@@ -207,9 +207,7 @@ Status CheckMaintenance(
       maintain_options.inject_drop_tombstone = true;
       maintained.SetMaintainOptions(maintain_options);
     }
-    IndexSpec spec = IndexSpec::Full();
-    spec.parallelism = parallelism;
-    QOF_RETURN_IF_ERROR(maintained.BuildIndexes(spec));
+    QOF_RETURN_IF_ERROR(maintained.BuildIndexes(IndexSpec::Full()));
 
     for (size_t mi = 0; mi < c.mutations.size(); ++mi) {
       const MutationStep& m = c.mutations[mi];
@@ -1026,9 +1024,7 @@ Result<OracleOutcome> RunOracle(const ConcreteCase& c,
   }
 
   full.SetParallelism(options.workers);
-  IndexSpec parallel_spec = IndexSpec::Full();
-  parallel_spec.parallelism = options.workers;
-  built = full.BuildIndexes(parallel_spec);
+  built = full.BuildIndexes(IndexSpec::Full());
   if (!built.ok()) {
     return fail("[index] parallel index build failed: " + built.ToString());
   }

@@ -63,8 +63,8 @@ struct IrNode {
   /// part of `key`: E changes how the node is computed, never its result.
   std::optional<std::vector<std::string>> enclosers;
   std::string key;
-  // Cost annotations (CostEstimator formulas over the shared CostModel
-  // table); negative until AnnotateIrCosts runs.
+  // Cost annotations (AnnotateIrCosts, the engine's one cost model);
+  // negative until it runs.
   double est_cardinality = -1;
   double est_work = -1;
 };

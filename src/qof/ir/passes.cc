@@ -102,8 +102,8 @@ Est InclusionEst(const Est& l, const Est& r, double sweep_factor = 1,
 
 void AnnotateIrCosts(IrProgram* program, const RegionIndex* regions,
                      const WordIndex* words) {
-  // Mirrors CostEstimator::Estimate over the flattened form: n-ary nodes
-  // cost like the left-fold of the binary operator they replaced.
+  // N-ary nodes cost like the left-fold of the binary operator they
+  // replaced.
   std::vector<Est> est(program->nodes.size());
   for (size_t i = 0; i < program->nodes.size(); ++i) {
     IrNode& n = program->nodes[i];
@@ -181,6 +181,14 @@ void AnnotateIrCosts(IrProgram* program, const RegionIndex* regions,
     n.est_cardinality = e.card;
     n.est_work = e.work;
   }
+}
+
+std::string DescribeCost(const IrNode& node) {
+  return "~" +
+         std::to_string(static_cast<long long>(node.est_cardinality)) +
+         " regions, ~" +
+         std::to_string(static_cast<long long>(node.est_work)) +
+         " work units";
 }
 
 void PassCse(IrProgram* program, bool inject_bad_cse) {

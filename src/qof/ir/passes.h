@@ -123,11 +123,22 @@ void PassEnclosers(IrProgram* program, const Rig* rig,
                    const RegionIndex* regions,
                    bool inject_narrow_enclosers = false);
 
-/// Annotates every node with CostEstimator-equivalent cardinality/work
-/// estimates over the shared CostModel table. A ⊃d/⊂d node's sweep is
-/// charged Σ|E| over its encloser set (nothing before PassEnclosers).
+/// The engine's one cost model: annotates every node with an estimated
+/// result cardinality and work (≈ regions touched), over the shared
+/// CostModel table. The paper orders plans by operator count and kind
+/// (Def. 3.4); these size-driven estimates refine that ordering for
+/// operand ordering and EXPLAIN. Estimates are upper-bound-flavoured and
+/// deliberately crude (uniformity, no containment correlation). Loads and
+/// encloser sets are sized by InstanceCount, so a disk-backed index pages
+/// no region instance in. A ⊃d/⊂d node's sweep is charged
+/// Σ|E| over its encloser set (nothing before PassEnclosers), weighted by
+/// CostModel::kDirectFactor.
 void AnnotateIrCosts(IrProgram* program, const RegionIndex* regions,
                      const WordIndex* words);
+
+/// An annotated node's estimate as EXPLAIN prints it:
+/// "~N regions, ~M work units".
+std::string DescribeCost(const IrNode& node);
 
 }  // namespace qof
 

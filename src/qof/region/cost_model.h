@@ -7,8 +7,9 @@
 namespace qof {
 
 /// One shared table of size-ratio dispatch constants, used by the region
-/// kernels, the tree evaluator's adaptive selection dispatch, the
-/// CostEstimator, and the IR optimizer passes. Keeping the thresholds in
+/// kernels, the selection kernels' adaptive dispatch, and the IR
+/// optimizer passes (AnnotateIrCosts, the engine's one cost model, in
+/// qof/ir/passes.h). Keeping the thresholds in
 /// a single place guarantees the layers agree on *when* the asymmetric
 /// (galloping / posting-driven) paths win, so a plan the optimizer costs
 /// one way cannot execute another way.

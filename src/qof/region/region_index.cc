@@ -13,7 +13,6 @@ void RegionIndex::Add(std::string name, RegionSet regions) {
   } else {
     it->second = Union(it->second, regions);
   }
-  universe_valid_ = false;
 }
 
 uint64_t RegionIndex::EraseSpan(uint64_t begin, uint64_t end) {
@@ -21,7 +20,6 @@ uint64_t RegionIndex::EraseSpan(uint64_t begin, uint64_t end) {
   for (auto& [name, set] : sets_) {
     erased += set.EraseStartsIn(begin, end);
   }
-  if (erased > 0) universe_valid_ = false;
   return erased;
 }
 
@@ -30,7 +28,6 @@ void RegionIndex::InsertDocRegions(
   for (const auto& [name, run] : by_name) {
     sets_[name].InsertRun(run);
   }
-  universe_valid_ = false;
 }
 
 bool RegionIndex::Has(std::string_view name) const {
@@ -140,7 +137,6 @@ Status RegionIndex::AttachSource(std::shared_ptr<const RegionSource> source) {
     }
   }
   source_ = std::move(source);
-  universe_valid_ = false;
   return Status::OK();
 }
 
@@ -164,40 +160,6 @@ Status RegionIndex::EnsureResident() const {
     QOF_RETURN_IF_ERROR(MaterializeLocked(it->first, it->second));
   }
   return Status::OK();
-}
-
-uint64_t RegionIndex::UniverseSize() const {
-  if (source_ != nullptr) {
-    std::lock_guard<std::mutex> lock(lazy_mu_);
-    if (!unloaded_.empty()) return source_->universe_size();
-  }
-  return Universe().size();
-}
-
-const RegionSet& RegionIndex::Universe() const {
-  // Forces residency: the universe is the union of *every* instance.
-  // Fallible callers run EnsureResident() first to observe I/O errors;
-  // on failure here the union covers what did load (and the next
-  // EnsureResident reports the same error).
-  (void)EnsureResident();
-  std::lock_guard<std::mutex> lock(universe_mu_);
-  if (!universe_valid_) {
-    RegionSet u;
-    for (const auto& [name, set] : sets_) u = Union(u, set);
-    universe_ = std::move(u);
-    universe_valid_ = true;
-  }
-  return universe_;
-}
-
-std::vector<const RegionSet*> RegionIndex::AllExcept(
-    std::string_view excluded) const {
-  (void)EnsureResident();
-  std::vector<const RegionSet*> out;
-  for (const auto& [name, set] : sets_) {
-    if (name != excluded) out.push_back(&set);
-  }
-  return out;
 }
 
 size_t RegionIndex::num_names() const {
@@ -236,6 +198,15 @@ uint64_t RegionIndex::ApproxBytes() const {
     bytes += name.size() + set.size() * sizeof(Region) + 64;
   }
   return bytes;
+}
+
+Result<RegionSet> IndexedUniverse(const RegionIndex& index) {
+  RegionSet universe;
+  for (const std::string& name : index.Names()) {
+    QOF_ASSIGN_OR_RETURN(const RegionSet* set, index.Get(name));
+    universe = Union(universe, *set);
+  }
+  return universe;
 }
 
 }  // namespace qof

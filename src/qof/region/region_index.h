@@ -19,7 +19,10 @@ namespace qof {
 /// An *instance* of a region index (paper §3.1): a mapping from region
 /// names R1..Rn to sets of regions. The union of all instances is the
 /// "universe" of indexed regions, which defines direct inclusion (⊃d/⊂d:
-/// no *indexed* region strictly in between).
+/// no *indexed* region strictly in between). The index keeps no universe
+/// itself: the query engine scopes ⊃d/⊂d to RIG encloser sets (see
+/// PassEnclosers), and the few callers that need the whole union build it
+/// with IndexedUniverse().
 ///
 /// Disk-resident mode: AttachSource() hands the index a backing
 /// RegionSource (the paged store). Instances then materialize lazily on
@@ -33,14 +36,12 @@ class RegionIndex {
   RegionIndex() = default;
 
   // Hand-written copy/move: the index is a value (copy-on-write snapshots
-  // duplicate it, builds move it), but the mutexes guarding the lazy
-  // universe cache and the lazy materialization are neither copyable nor
-  // movable — each instance gets its own.
+  // duplicate it, builds move it), but the mutex guarding the lazy
+  // materialization is neither copyable nor movable — each instance gets
+  // its own.
   RegionIndex(const RegionIndex& other) {
     std::lock_guard<std::mutex> lock(other.lazy_mu_);
     sets_ = other.sets_;
-    universe_ = other.universe_;
-    universe_valid_ = other.universe_valid_;
     source_ = other.source_;
     unloaded_ = other.unloaded_;
   }
@@ -48,22 +49,16 @@ class RegionIndex {
     if (this == &other) return *this;
     std::lock_guard<std::mutex> lock(other.lazy_mu_);
     sets_ = other.sets_;
-    universe_ = other.universe_;
-    universe_valid_ = other.universe_valid_;
     source_ = other.source_;
     unloaded_ = other.unloaded_;
     return *this;
   }
   RegionIndex(RegionIndex&& other) noexcept
       : sets_(std::move(other.sets_)),
-        universe_(std::move(other.universe_)),
-        universe_valid_(other.universe_valid_),
         source_(std::move(other.source_)),
         unloaded_(std::move(other.unloaded_)) {}
   RegionIndex& operator=(RegionIndex&& other) noexcept {
     sets_ = std::move(other.sets_);
-    universe_ = std::move(other.universe_);
-    universe_valid_ = other.universe_valid_;
     source_ = std::move(other.source_);
     unloaded_ = std::move(other.unloaded_);
     return *this;
@@ -128,25 +123,8 @@ class RegionIndex {
   bool IsResident(std::string_view name) const;
 
   /// Materializes every not-yet-loaded instance. Idempotent. Mutators and
-  /// serialization require this first; Universe()/AllExcept() force it
-  /// internally, so fallible callers should invoke this beforehand to see
-  /// the error.
+  /// serialization require this first.
   Status EnsureResident() const;
-
-  /// Universe().size() without forcing materialization: a disk-backed
-  /// index answers from the store's persisted universe size (the cost
-  /// model and the optimizer only need the cardinality).
-  uint64_t UniverseSize() const;
-
-  /// Union of every instance — the indexed-region universe. Computed
-  /// lazily and cached; invalidated by Add(). Safe to call from
-  /// concurrent readers sharing an otherwise-immutable index (snapshot
-  /// queries): the lazy initialization is serialized internally.
-  const RegionSet& Universe() const;
-
-  /// All instances except `excluded` — the paper's "I − {S}" used by the
-  /// layered ⊃d program.
-  std::vector<const RegionSet*> AllExcept(std::string_view excluded) const;
 
   size_t num_names() const;
   uint64_t num_regions() const;
@@ -162,13 +140,6 @@ class RegionIndex {
   /// Mutable: Get() materializes lazily under lazy_mu_. Node-based, so
   /// pointers handed out by Get() survive later insertions.
   mutable std::map<std::string, RegionSet, std::less<>> sets_;
-  /// Serializes the lazy Universe() build between concurrent readers of a
-  /// shared immutable index. Mutators (Add/EraseSpan/InsertDocRegions)
-  /// require external exclusion, as before.
-  mutable std::mutex universe_mu_;
-  mutable RegionSet universe_;
-  mutable bool universe_valid_ = false;
-
   /// Backing source; null for a fully in-memory index. Set once before
   /// the index is shared, never reassigned by const paths (readers may
   /// test it without the lock).
@@ -180,6 +151,14 @@ class RegionIndex {
   /// lazy_mu_; empty once EnsureResident() has run.
   mutable std::map<std::string, uint64_t, std::less<>> unloaded_;
 };
+
+/// Union of every instance of `index` — the indexed-region universe the
+/// paper's ⊃d/⊂d are defined against. Built on each call from Names() and
+/// Get() (no caching), so on a disk-backed index it pages every instance
+/// in and can fail on I/O or corruption. For the tree-evaluator oracle,
+/// the store writer's persisted universe size and tests; queries never
+/// need it.
+Result<RegionSet> IndexedUniverse(const RegionIndex& index);
 
 }  // namespace qof
 

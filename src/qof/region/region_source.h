@@ -33,10 +33,6 @@ class RegionSource {
   /// Every stored instance, sorted by name.
   virtual Result<std::vector<Entry>> Entries() const = 0;
 
-  /// |union of all instances| — persisted at write time so direct
-  /// inclusion's cost estimates don't force full materialization.
-  virtual uint64_t universe_size() const = 0;
-
   /// Encoded bytes of all region instances (footprint reporting).
   virtual uint64_t approx_bytes() const = 0;
 

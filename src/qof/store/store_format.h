@@ -25,8 +25,8 @@ namespace qof {
 ///   u32      page_size
 ///   u64      generation        (maintenance generation, as in QOFIDX3)
 ///   u64      doc_count
-///   u64      universe_size     (|union of region instances|, persisted so
-///                               cost estimates never force a full load)
+///   u64      universe_size     (|union of region instances|; a census
+///                               figure no query reads)
 ///   u64      region_names
 ///   u64      total_regions
 ///   u64      distinct_words

@@ -19,9 +19,6 @@ class StoreRegionSource : public RegionSource {
       : store_(std::move(store)) {}
 
   Result<std::vector<Entry>> Entries() const override;
-  uint64_t universe_size() const override {
-    return store_->meta().universe_size;
-  }
   uint64_t approx_bytes() const override;
   Result<std::unique_ptr<RegionCursor>> OpenCursor(
       std::string_view name) const override;

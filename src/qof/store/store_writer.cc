@@ -181,7 +181,8 @@ Result<std::string> BuildStoreImage(const StoreWriterInput& input,
   meta.page_size = page_size;
   meta.generation = input.generation;
   meta.doc_count = input.doc_count;
-  meta.universe_size = input.regions->Universe().size();
+  QOF_ASSIGN_OR_RETURN(RegionSet universe, IndexedUniverse(*input.regions));
+  meta.universe_size = universe.size();
 
   // Region instances, sorted by name, streams concatenated into the
   // postings payload.

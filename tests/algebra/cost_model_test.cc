@@ -1,4 +1,4 @@
-#include "qof/algebra/cost_model.h"
+#include "qof/region/cost_model.h"
 
 #include <gtest/gtest.h>
 
@@ -6,14 +6,15 @@
 #include "qof/datagen/bibtex_gen.h"
 #include "qof/datagen/schemas.h"
 #include "qof/engine/indexer.h"
-#include "qof/region/cost_model.h"
+#include "qof/ir/ir.h"
+#include "qof/ir/passes.h"
 
 namespace qof {
 namespace {
 
 TEST(SharedCostModel, ConstantsArePinned) {
   // The shared dispatch table is load-bearing across layers: the region
-  // kernels, the tree evaluator, the CostEstimator and the IR passes all
+  // kernels, the tree evaluator and the IR passes all
   // read these constants, so changing one silently re-tunes every layer
   // at once. Pin the values so a change shows up as a deliberate edit
   // here, not as an unexplained benchmark shift.
@@ -47,13 +48,24 @@ class CostModelTest : public ::testing::Test {
     built_ = std::make_unique<BuiltIndexes>(std::move(*built));
   }
 
-  CostEstimate Estimate(const char* text) {
+  // The engine's cost model over one lowered expression: AnnotateIrCosts
+  // after PassEnclosers (no RIG, so every ⊃d/⊂d sweeps all indexed
+  // names), read at the candidates root.
+  struct Estimate {
+    double cardinality = 0;
+    double work = 0;
+    std::string text;
+  };
+
+  Estimate Annotate(const char* text) {
     auto expr = ParseRegionExpr(text);
     EXPECT_TRUE(expr.ok()) << expr.status().ToString();
-    CostEstimator estimator(&built_->regions, &built_->words);
-    auto est = estimator.Estimate(**expr);
-    EXPECT_TRUE(est.ok()) << est.status().ToString();
-    return est.ok() ? *est : CostEstimate{};
+    if (!expr.ok()) return {};
+    IrProgram program = LowerToIr(expr->get(), nullptr, nullptr, nullptr);
+    PassEnclosers(&program, /*rig=*/nullptr, &built_->regions);
+    AnnotateIrCosts(&program, &built_->regions, &built_->words);
+    const IrNode& root = program.nodes[program.candidates];
+    return {root.est_cardinality, root.est_work, DescribeCost(root)};
   }
 
   Corpus corpus_;
@@ -61,44 +73,54 @@ class CostModelTest : public ::testing::Test {
 };
 
 TEST_F(CostModelTest, NameCardinalityIsInstanceSize) {
-  CostEstimate est = Estimate("Reference");
+  Estimate est = Annotate("Reference");
   EXPECT_DOUBLE_EQ(est.cardinality, 100.0);
-  CostEstimate unknown = Estimate("Nonexistent");
+  Estimate unknown = Annotate("Nonexistent");
   EXPECT_DOUBLE_EQ(unknown.cardinality, 0.0);
 }
 
 TEST_F(CostModelTest, SelectionBoundedByPostings) {
-  CostEstimate est = Estimate("sigma(\"Chang\", Last_Name)");
+  Estimate est = Annotate("sigma(\"Chang\", Last_Name)");
   auto& postings = built_->words.Lookup("Chang");
   EXPECT_LE(est.cardinality, static_cast<double>(postings.size()));
   EXPECT_GT(est.cardinality, 0.0);
   // A word that never occurs estimates to zero.
-  CostEstimate none = Estimate("sigma(\"Zweig\", Last_Name)");
+  Estimate none = Annotate("sigma(\"Zweig\", Last_Name)");
   EXPECT_DOUBLE_EQ(none.cardinality, 0.0);
 }
 
 TEST_F(CostModelTest, DirectInclusionCostsMoreThanSimple) {
-  CostEstimate direct = Estimate("Reference >> Authors");
-  CostEstimate simple = Estimate("Reference > Authors");
+  Estimate direct = Annotate("Reference >> Authors");
+  Estimate simple = Annotate("Reference > Authors");
   EXPECT_GT(direct.work, simple.work);
   EXPECT_DOUBLE_EQ(direct.cardinality, simple.cardinality);
+  // ⊃d sweeps kDirectFactor × (|l| + |r| + Σ|E|); without a RIG, E is
+  // every indexed name.
+  Estimate ref = Annotate("Reference");
+  Estimate authors = Annotate("Authors");
+  EXPECT_DOUBLE_EQ(
+      direct.work,
+      ref.work + authors.work +
+          CostModel::kDirectFactor *
+              (ref.cardinality + authors.cardinality +
+               static_cast<double>(built_->regions.num_regions())));
 }
 
 TEST_F(CostModelTest, OptimizedFormCostsLess) {
   // The §3.2 rewrite should be an improvement under the model too.
-  CostEstimate raw = Estimate(
+  Estimate raw = Annotate(
       "Reference >> Authors >> Name >> sigma(\"Chang\", Last_Name)");
-  CostEstimate optimized =
-      Estimate("Reference > Authors > sigma(\"Chang\", Last_Name)");
+  Estimate optimized =
+      Annotate("Reference > Authors > sigma(\"Chang\", Last_Name)");
   EXPECT_LT(optimized.work, raw.work);
 }
 
 TEST_F(CostModelTest, SetOperatorCardinalities) {
-  CostEstimate u = Estimate("Authors | Editors");
-  CostEstimate i = Estimate("Authors & Editors");
-  CostEstimate d = Estimate("Authors - Editors");
-  CostEstimate a = Estimate("Authors");
-  CostEstimate e = Estimate("Editors");
+  Estimate u = Annotate("Authors | Editors");
+  Estimate i = Annotate("Authors & Editors");
+  Estimate d = Annotate("Authors - Editors");
+  Estimate a = Annotate("Authors");
+  Estimate e = Annotate("Editors");
   EXPECT_DOUBLE_EQ(u.cardinality, a.cardinality + e.cardinality);
   EXPECT_DOUBLE_EQ(i.cardinality,
                    std::min(a.cardinality, e.cardinality));
@@ -106,15 +128,14 @@ TEST_F(CostModelTest, SetOperatorCardinalities) {
 }
 
 TEST_F(CostModelTest, PhrasePaysVerification) {
-  CostEstimate phrase = Estimate("phrase(\"Taylor Series\", Title)");
-  CostEstimate word = Estimate("contains(\"Taylor\", Title)");
+  Estimate phrase = Annotate("phrase(\"Taylor Series\", Title)");
+  Estimate word = Annotate("contains(\"Taylor\", Title)");
   EXPECT_GE(phrase.work, word.work);
 }
 
 TEST_F(CostModelTest, ToStringReadable) {
-  CostEstimate est = Estimate("Reference");
-  EXPECT_NE(est.ToString().find("regions"), std::string::npos);
-  EXPECT_NE(est.ToString().find("work"), std::string::npos);
+  Estimate est = Annotate("Reference");
+  EXPECT_EQ(est.text, "~100 regions, ~100 work units");
 }
 
 }  // namespace

@@ -24,9 +24,11 @@ class IndexIoTest : public ::testing::Test {
     text_ = GenerateBibtex(gen);
     system_ = std::make_unique<FileQuerySystem>(*schema);
     ASSERT_TRUE(system_->AddFile("gen.bib", text_).ok());
+    ASSERT_TRUE(corpus_.AddDocument("gen.bib", text_).ok());
   }
 
   std::string text_;
+  Corpus corpus_;  // the system's corpus layout, for direct decoding
   std::unique_ptr<FileQuerySystem> system_;
 };
 
@@ -64,7 +66,7 @@ TEST_F(IndexIoTest, RoundTripPreservesSpec) {
   auto blob = system_->ExportIndexes();
   ASSERT_TRUE(blob.ok());
 
-  auto loaded = DeserializeIndexes(*blob, text_);
+  auto loaded = DeserializeIndexes(*blob, corpus_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->spec.mode, IndexSpec::Mode::kPartial);
   EXPECT_EQ(loaded->spec.names, spec.names);
@@ -88,8 +90,8 @@ TEST_F(IndexIoTest, RejectsChangedCorpus) {
   ASSERT_TRUE(other.AddFile("gen.bib", text_ + " ").ok());
   auto s = other.ImportIndexes(*blob);
   ASSERT_FALSE(s.ok());
-  // v2 blobs carry per-document fingerprints: the error names the
-  // document that changed.
+  // Blobs carry per-document fingerprints: the error names the document
+  // that changed.
   EXPECT_NE(s.message().find("stale"), std::string::npos) << s.message();
   EXPECT_NE(s.message().find("gen.bib"), std::string::npos) << s.message();
 }
@@ -115,7 +117,7 @@ TEST_F(IndexIoTest, TruncationAtEveryByteFailsCleanly) {
   auto blob = system_->ExportIndexes();
   ASSERT_TRUE(blob.ok());
   for (size_t len = 0; len < blob->size(); ++len) {
-    auto loaded = DeserializeIndexes(blob->substr(0, len), text_);
+    auto loaded = DeserializeIndexes(blob->substr(0, len), corpus_);
     EXPECT_FALSE(loaded.ok()) << "prefix of " << len << " bytes loaded";
   }
 }
@@ -132,14 +134,14 @@ TEST_F(IndexIoTest, CorruptCountsAreRejectedBeforeAllocation) {
        at += std::max<size_t>(1, blob->size() / 97)) {
     std::string corrupt = *blob;
     for (size_t i = 0; i < 8; ++i) corrupt[at + i] = '\x7f';
-    auto loaded = DeserializeIndexes(corrupt, text_);
+    auto loaded = DeserializeIndexes(corrupt, corpus_);
     // Some windows only touch region coordinates or posting payloads;
     // those may still load or fail the span check. The requirement is no
     // crash and no over-allocation, which running to completion shows.
     (void)loaded;
   }
   // The pristine blob still loads.
-  auto spec_ok = DeserializeIndexes(*blob, text_);
+  auto spec_ok = DeserializeIndexes(*blob, corpus_);
   ASSERT_TRUE(spec_ok.ok());
 }
 
@@ -156,18 +158,26 @@ TEST_F(IndexIoTest, AbsurdRegionCountFailsWithCountDiagnostic) {
       out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
     }
   };
-  std::string corpus = "x";
-  std::string blob = "QOFIDX1\n";
-  put64(corpus.size(), &blob);
-  put64(CorpusFingerprint(corpus), &blob);
-  blob.push_back(0);  // mode: full
-  blob.push_back(0);  // fold_case: off
-  put32(0, &blob);    // no spec names
-  put32(0, &blob);    // no within entries
-  put32(1, &blob);    // one region name
-  put32(1, &blob);
-  blob.push_back('A');
-  put64(uint64_t{1} << 62, &blob);  // absurd region count
+  Corpus corpus;
+  ASSERT_TRUE(corpus.AddDocument("x.txt", "x").ok());
+  std::string payload;
+  put32(1, &payload);  // document table: one row
+  put32(5, &payload);
+  payload += "x.txt";
+  put64(1, &payload);
+  put64(CorpusFingerprint("x"), &payload);
+  payload.push_back(0);  // mode: full
+  payload.push_back(0);  // fold_case: off
+  put32(0, &payload);    // no spec names
+  put32(0, &payload);    // no within entries
+  put32(1, &payload);    // one region name
+  put32(1, &payload);
+  payload.push_back('A');
+  put64(uint64_t{1} << 62, &payload);  // absurd region count
+  std::string blob = "QOFIDX3\n";
+  put64(0, &blob);                             // generation
+  put64(CorpusFingerprint(payload), &blob);    // payload checksum
+  blob += payload;
   auto loaded = DeserializeIndexes(blob, corpus);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("count"), std::string::npos)

@@ -37,7 +37,9 @@ TEST_F(IndexerTest, IndexesMultipleDocuments) {
   EXPECT_EQ((*refs)->size(), 25u);
   // Regions from different documents do not overlap and the whole
   // universe is laminar.
-  EXPECT_TRUE(built->regions.Universe().IsLaminar());
+  auto universe = IndexedUniverse(built->regions);
+  ASSERT_TRUE(universe.ok());
+  EXPECT_TRUE(universe->IsLaminar());
   // The word index spans both documents.
   EXPECT_GT(built->words.num_postings(), 100u);
 }

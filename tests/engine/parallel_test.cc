@@ -45,9 +45,9 @@ std::unique_ptr<FileQuerySystem> MakeSystem(
   return system;
 }
 
-std::string BuildAndExport(FileQuerySystem* system, IndexSpec spec,
+std::string BuildAndExport(FileQuerySystem* system, const IndexSpec& spec,
                            int parallelism) {
-  spec.parallelism = parallelism;
+  system->SetParallelism(parallelism);
   EXPECT_TRUE(system->BuildIndexes(spec).ok());
   auto blob = system->ExportIndexes();
   EXPECT_TRUE(blob.ok()) << blob.status().ToString();

@@ -51,7 +51,10 @@ class JournalFaultTest : public ::testing::Test {
     auto schema = BibtexSchema();
     ASSERT_TRUE(schema.ok());
     schema_ = std::make_unique<StructuringSchema>(*schema);
-    path_ = ::testing::TempDir() + "qof_journal_fault_test.qofj";
+    // One file per test: ctest runs the cases as concurrent processes.
+    path_ = ::testing::TempDir() + "qof_journal_fault_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".qofj";
     std::remove(path_.c_str());
   }
 

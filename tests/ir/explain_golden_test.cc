@@ -176,6 +176,53 @@ TEST(ExplainGoldenTest, DirectInclusionShowsEnclosersGolden) {
   EXPECT_EQ(result->regions.size(), 2u);
 }
 
+TEST(ExplainGoldenTest, ExplainEstimateMatchesAnnotatedRoot) {
+  // Explain prints the engine's own estimate: the candidates root of the
+  // final annotated program, with ⊃d charged Σ|E| over its encloser set
+  // (here E = {Obj}), not the size of the whole indexed universe.
+  auto schema = ParseSchemaText(kRecursiveSchema);
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  FileQuerySystem system(*schema);
+  ASSERT_TRUE(system.AddFile("objs.txt", kRecursiveCorpus).ok());
+  ASSERT_TRUE(system.BuildIndexes(IndexSpec::Full()).ok());
+  const char* query = "SELECT x FROM Obj x WHERE x.Alpha = \"zulu\"";
+  auto universe = IndexedUniverse(system.region_index());
+  ASSERT_TRUE(universe.ok());
+  auto obj = system.region_index().InstanceCount("Obj");
+  ASSERT_GT(universe->size(), obj) << "E must be smaller than the universe";
+
+  auto explained = system.Explain(query);
+  auto pipeline = system.ExplainQuery(query);
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  // ExplainQuery starts with the Explain report verbatim.
+  EXPECT_EQ(pipeline->substr(0, explained->size()), *explained);
+
+  // The candidates root's annotation in the last dump.
+  size_t last = pipeline->rfind("-- after ");
+  ASSERT_NE(last, std::string::npos);
+  std::string dump = pipeline->substr(last);
+  size_t roots = dump.find("roots: candidates=%");
+  ASSERT_NE(roots, std::string::npos) << dump;
+  size_t id_at = roots + std::string("roots: candidates=").size();
+  std::string root_id =
+      dump.substr(id_at, dump.find_first_of(" \n", id_at) - id_at);
+  size_t line = dump.find("\n" + root_id + " = ");
+  ASSERT_NE(line, std::string::npos) << dump;
+  std::string root_line =
+      dump.substr(line + 1, dump.find('\n', line + 1) - line - 1);
+  size_t card_at = root_line.find("card~");
+  size_t work_at = root_line.find(" work~");
+  ASSERT_NE(card_at, std::string::npos) << root_line;
+  ASSERT_NE(work_at, std::string::npos) << root_line;
+  std::string card = root_line.substr(card_at + 5, work_at - card_at - 5);
+  std::string work = root_line.substr(work_at + 6);
+  EXPECT_NE(explained->find("            ~" + card + " regions, ~" + work +
+                            " work units\n"),
+            std::string::npos)
+      << *explained << "\nroot: " << root_line;
+}
+
 TEST(ExplainGoldenTest, DisabledPassesShrinkThePipeline) {
   auto system_owner = MakeSystem();
   FileQuerySystem& system = *system_owner;

@@ -56,7 +56,9 @@ TEST_F(ExtractorTest, FullIndexingCoversAllButRoot) {
 TEST_F(ExtractorTest, UniverseIsLaminar) {
   RegionIndex index;
   ExtractRegions(*schema_, *tree_, ExtractionFilter::Full(), &index);
-  EXPECT_TRUE(index.Universe().IsLaminar());
+  auto universe = IndexedUniverse(index);
+  ASSERT_TRUE(universe.ok());
+  EXPECT_TRUE(universe->IsLaminar());
 }
 
 TEST_F(ExtractorTest, PartialIndexingOnlySelectedNames) {

@@ -159,9 +159,30 @@ TEST_F(StoreSystemTest, SelectiveQueryStreamsWithoutMaterializing) {
       << "selective query materialized the region instances";
 }
 
+TEST_F(StoreSystemTest, ExplainPagesInNoRegionInstance) {
+  // Explain's estimates size loads and encloser sets from the store
+  // dictionary (InstanceCount), so no region instance is decoded, and
+  // both reports match the in-memory system's.
+  ASSERT_TRUE(system_->BuildIndexes(IndexSpec::Full()).ok());
+  const std::string path = TempPath("explain.qofstore");
+  ASSERT_TRUE(system_->SaveStore(path).ok());
+  auto disk = Fresh();
+  ASSERT_TRUE(disk->OpenStore(path).ok());
+  for (const char* fql : kQueries) {
+    auto mem = system_->ExplainQuery(fql);
+    auto dsk = disk->ExplainQuery(fql);
+    ASSERT_TRUE(mem.ok()) << mem.status().ToString();
+    ASSERT_TRUE(dsk.ok()) << dsk.status().ToString();
+    EXPECT_EQ(*mem, *dsk) << fql;
+  }
+  for (const std::string& name : disk->region_index().Names()) {
+    EXPECT_FALSE(disk->region_index().IsResident(name)) << name;
+  }
+}
+
 TEST_F(StoreSystemTest, CorruptPostingPageFailsLoudlyOthersKeepAnswering) {
   ASSERT_TRUE(system_->BuildIndexes(IndexSpec::Full()).ok());
-  const std::string path = TempPath("corrupt.qofstore");
+  const std::string path = TempPath("system_corrupt.qofstore");
   ASSERT_TRUE(system_->SaveStore(path).ok());
 
   // Flip one payload bit in the middle of the postings section.
@@ -310,31 +331,33 @@ TEST_F(StoreSystemTest, IndexStatsReportProvenance) {
   auto stats = system_->index_stats();
   EXPECT_TRUE(stats.built);
   EXPECT_EQ(stats.source, "built");
-  EXPECT_EQ(stats.format_version, 0);
   EXPECT_FALSE(stats.disk_resident);
 
-  // Importing a blob records its on-disk format version.
+  // Importing a blob records its on-disk format.
   auto blob = system_->ExportIndexes();
   ASSERT_TRUE(blob.ok());
-  auto info = ReadBlobInfo(*blob);
-  ASSERT_TRUE(info.ok());
   auto disk = Fresh();
   ASSERT_TRUE(disk->ImportIndexes(*blob).ok());
   stats = disk->index_stats();
-  EXPECT_EQ(stats.format_version, info->version);
-  EXPECT_EQ(stats.source, "blob-v" + std::to_string(info->version));
+  EXPECT_EQ(stats.source, "blob-v3");
   EXPECT_FALSE(stats.disk_resident);
 
-  // A v1 blob reports version 1.
-  auto v1 = SerializeIndexes(BuiltIndexes{system_->region_index(),
-                                          system_->word_index(), 0,
-                                          system_->corpus().num_documents()},
-                             system_->index_spec(), text_);
-  ASSERT_TRUE(v1.ok());
-  auto disk1 = Fresh();
-  ASSERT_TRUE(disk1->ImportIndexes(*v1).ok());
-  EXPECT_EQ(disk1->index_stats().format_version, 1);
-  EXPECT_EQ(disk1->index_stats().source, "blob-v1");
+  // The retired QOFIDX1/QOFIDX2 formats are refused by name, with the
+  // way forward, and the refusal leaves the installed indexes alone.
+  for (const char* retired : {"QOFIDX1", "QOFIDX2"}) {
+    std::string old_blob = *blob;
+    old_blob.replace(0, 7, retired);
+    Status s = disk->ImportIndexes(old_blob);
+    ASSERT_FALSE(s.ok()) << retired;
+    EXPECT_NE(s.message().find(retired), std::string::npos) << s.message();
+    EXPECT_NE(s.message().find("rebuild"), std::string::npos)
+        << s.message();
+    EXPECT_NE(s.message().find("re-export"), std::string::npos)
+        << s.message();
+    EXPECT_FALSE(ReadBlobInfo(old_blob).ok());
+    EXPECT_FALSE(DeserializeIndexesUnchecked(old_blob).ok());
+    EXPECT_EQ(disk->index_stats().source, "blob-v3");
+  }
 
   // An open store reports "paged-store" and live pool counters.
   const std::string path = TempPath("stats.qofstore");

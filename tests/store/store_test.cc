@@ -387,7 +387,9 @@ TEST(PagedStoreTest, MetaAndSectionsRoundTrip) {
     EXPECT_EQ(m.region_names, f.regions.num_names());
     EXPECT_EQ(m.total_regions, f.regions.num_regions());
     EXPECT_EQ(m.distinct_words, f.words.num_distinct_words());
-    EXPECT_EQ(m.universe_size, f.regions.Universe().size());
+    auto universe = IndexedUniverse(f.regions);
+    ASSERT_TRUE(universe.ok());
+    EXPECT_EQ(m.universe_size, universe->size());
 
     auto spec = (*store)->ReadSection(StoreSection::kSpec);
     ASSERT_TRUE(spec.ok());
@@ -615,7 +617,6 @@ TEST(StoreSourceTest, SourcesMirrorTheStore) {
   ASSERT_TRUE(store.ok());
 
   StoreRegionSource rsource(*store);
-  EXPECT_EQ(rsource.universe_size(), f.regions.Universe().size());
   auto entries = rsource.Entries();
   ASSERT_TRUE(entries.ok());
   EXPECT_EQ(entries->size(), f.regions.num_names());
@@ -635,6 +636,25 @@ TEST(StoreSourceTest, SourcesMirrorTheStore) {
   ASSERT_TRUE(absent.ok());
   EXPECT_FALSE(absent->has_value());
   EXPECT_GT(rsource.approx_bytes() + wsource.approx_bytes(), 0u);
+}
+
+TEST(StoreSourceTest, IndexedUniverseOverAStoreMatchesMemory) {
+  // The oracle's universe over a disk-backed index pages every instance
+  // in and equals the in-memory union the store was written from.
+  Fixture f = MakeFixture(60);
+  auto store = BuildAndOpen(f, "universe.qofstore", kMinStorePageSize);
+  ASSERT_TRUE(store.ok());
+  RegionIndex disk;
+  ASSERT_TRUE(
+      disk.AttachSource(std::make_shared<StoreRegionSource>(*store)).ok());
+  ASSERT_TRUE(disk.disk_resident());
+  auto expected = IndexedUniverse(f.regions);
+  auto got = IndexedUniverse(disk);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, *expected);
+  EXPECT_EQ(got->size(), (*store)->meta().universe_size);
+  EXPECT_FALSE(disk.disk_resident());
 }
 
 }  // namespace
