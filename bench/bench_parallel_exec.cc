@@ -95,8 +95,9 @@ struct Fixture {
 };
 
 /// A fresh disk-backed system with a cold buffer pool, so every config's
-/// I/O counts start from the same zero state.
-std::unique_ptr<FileQuerySystem> OpenCold(const Fixture& fx) {
+/// I/O counts start from the same zero state. `prefetch` is the store's
+/// PagedStoreOptions::prefetch: off = every page is a demand read.
+std::unique_ptr<FileQuerySystem> OpenCold(const Fixture& fx, bool prefetch) {
   auto schema = qof::ParseSchemaText(fx.schema_text);
   if (!schema.ok()) {
     std::fprintf(stderr, "bench schema parse failed: %s\n",
@@ -114,6 +115,7 @@ std::unique_ptr<FileQuerySystem> OpenCold(const Fixture& fx) {
   // them — which measures eviction policy, not prefetch batching.
   qof::PagedStoreOptions store_options;
   store_options.pool_pages = 4096;
+  store_options.prefetch = prefetch;
   if (!system->OpenStore(fx.store_path, store_options).ok()) {
     std::fprintf(stderr, "bench store open failed\n");
     std::abort();
@@ -170,10 +172,9 @@ int main(int argc, char** argv) {
   bool hashes_match = true;
   for (bool prefetch : {false, true}) {
     for (int workers : {1, 2, 4, 8}) {
-      auto system = OpenCold(fx);
+      auto system = OpenCold(fx, prefetch);
       QueryOptions options;
       options.exec_workers = workers;
-      options.prefetch = prefetch;
       double micros = 0;
       auto result = [&] {
         auto start = std::chrono::steady_clock::now();

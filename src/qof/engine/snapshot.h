@@ -24,7 +24,8 @@ namespace qof {
 /// under it survive later mutations, serving repeat snapshot queries
 /// warm) and records the maintenance counters at pin time for stats
 /// reporting. The owning FileQuerySystem must outlive every snapshot it
-/// handed out — the compiler borrows the system's rig.
+/// handed out — the compiler borrows the system's rig. The live Execute
+/// runs through the same query body on an unpinned stack instance.
 struct IndexSnapshot {
   std::shared_ptr<const Corpus> corpus;
   std::shared_ptr<const BuiltIndexes> built;

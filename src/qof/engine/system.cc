@@ -283,36 +283,26 @@ Result<std::string> FileQuerySystem::ExplainQuery(
 Result<QueryResult> FileQuerySystem::Execute(std::string_view fql,
                                              ExecutionMode mode,
                                              const QueryOptions& options) {
-  if (plan_cache_ != nullptr) {
-    std::string key(fql);
-    auto hit = plan_cache_->Lookup(key);
-    if (hit != nullptr && hit->build == builds_) {
-      // Parse and (when present) compile both skipped. Plans depend only
-      // on the schema and the index spec, never on the indexed data, so
-      // mutations need not invalidate them. The build stamp rejects the
-      // one unsound case: an entry a snapshot query of a superseded
-      // build published after the rebuild cleared the cache.
-      return ExecuteQueryImpl(hit->query, mode, options, &key, hit->plan);
-    }
-    QOF_ASSIGN_OR_RETURN(SelectQuery query, ParseFql(fql));
-    // Publish the parse right away (plan still null); the impl replaces
-    // the entry with the compiled plan attached once it compiles — which
-    // baseline-mode executions never do.
-    auto entry = std::make_shared<PlanCache::Entry>();
-    entry->query = query;
-    entry->build = builds_;
-    plan_cache_->Insert(key, std::move(entry));
-    return ExecuteQueryImpl(query, mode, options, &key, nullptr);
+  // The live state, viewed like a snapshot for the duration of the query
+  // (no eval-cache pin: nothing can mutate it meanwhile — see the
+  // concurrency contract above AcquireSnapshot).
+  IndexSnapshot state;
+  {
+    std::lock_guard<std::mutex> lock(state_mu_);
+    state.corpus = corpus_;
+    state.built = built_;
+    state.compiler = compiler_;
+    state.epoch = CurrentEpochUnlocked();
+    if (maintainer_ != nullptr) state.maintain = maintainer_->stats();
   }
-  QOF_ASSIGN_OR_RETURN(SelectQuery query, ParseFql(fql));
-  return ExecuteQueryImpl(query, mode, options, nullptr, nullptr);
-}
-
-Result<QueryResult> FileQuerySystem::ExecuteQuery(
-    const SelectQuery& query, ExecutionMode mode,
-    const QueryOptions& options) {
-  // Pre-parsed queries have no text to key the plan cache by.
-  return ExecuteQueryImpl(query, mode, options, nullptr, nullptr);
+  // One pool serves both parallel stages: two-phase candidate
+  // verification (sized by the system parallelism knob) and morsel-driven
+  // IR execution (sized by the query's exec_workers request) — composed
+  // by taking the larger of the two.
+  ThreadPool* pool =
+      EnsurePool(std::max(EffectiveParallelism(parallelism_),
+                          EffectiveParallelism(options.exec_workers)));
+  return RunQuery(state, fql, mode, options, pool);
 }
 
 Result<SnapshotRef> FileQuerySystem::AcquireSnapshot() {
@@ -344,20 +334,35 @@ Result<SnapshotRef> FileQuerySystem::AcquireSnapshot() {
 Result<QueryResult> FileQuerySystem::ExecuteOnSnapshot(
     const IndexSnapshot& snapshot, std::string_view fql,
     ExecutionMode mode, const QueryOptions& options) {
-  // The plan cache serves snapshot queries of the *current* build: the
-  // build stamp on each entry keeps a snapshot that outlived a rebuild
-  // from using plans compiled by the newer compiler (and vice versa).
-  // PlanCache is internally locked, so concurrent snapshot queries can
-  // share it.
+  // Snapshot queries run concurrently, so they cannot share the system
+  // pool (ParallelFor is not reentrant across callers); a query asking
+  // for workers gets its own short-lived pool instead.
+  const int exec_workers = EffectiveParallelism(options.exec_workers);
+  std::unique_ptr<ThreadPool> query_pool;
+  if (exec_workers > 1) {
+    query_pool = std::make_unique<ThreadPool>(exec_workers);
+  }
+  return RunQuery(snapshot, fql, mode, options, query_pool.get());
+}
+
+Result<QueryResult> FileQuerySystem::RunQuery(const IndexSnapshot& state,
+                                              std::string_view fql,
+                                              ExecutionMode mode,
+                                              const QueryOptions& options,
+                                              ThreadPool* pool) {
+  // Parse and (when present) compile are both served by a hit. Plans
+  // depend only on the schema and the index spec, never on the indexed
+  // data, so mutations need not invalidate them; the build stamp on each
+  // entry keeps a state that outlived a rebuild from using plans compiled
+  // by the newer compiler (and vice versa). PlanCache is internally
+  // locked, so concurrent snapshot queries can share it.
   PlanCache* plans = plan_cache_.get();
   std::string key;
   std::shared_ptr<const PlanCache::Entry> hit;
   if (plans != nullptr) {
     key.assign(fql);
     hit = plans->Lookup(key);
-    if (hit != nullptr && hit->build != snapshot.epoch.build) {
-      hit = nullptr;
-    }
+    if (hit != nullptr && hit->build != state.epoch.build) hit = nullptr;
   }
   SelectQuery query;
   std::shared_ptr<const QueryPlan> cached_plan;
@@ -366,48 +371,25 @@ Result<QueryResult> FileQuerySystem::ExecuteOnSnapshot(
     cached_plan = hit->plan;
   } else {
     QOF_ASSIGN_OR_RETURN(query, ParseFql(fql));
+    // Publish the parse right away (plan still null); the ladder replaces
+    // the entry with the compiled plan attached once it compiles — which
+    // baseline-mode executions never do.
     if (plans != nullptr) {
       auto entry = std::make_shared<PlanCache::Entry>();
       entry->query = query;
-      entry->build = snapshot.epoch.build;
-      plans->Insert(key, entry);
+      entry->build = state.epoch.build;
+      plans->Insert(key, std::move(entry));
     }
   }
-  // Per-query byte accounting: the snapshot's corpus is shared with
-  // other concurrent queries (and possibly the live state), so its
-  // member counter can't be reset — route this thread's scanning into a
-  // local counter instead. Parallel stages re-install this thread's
-  // scope on every pool worker (IrExecutor and RunTwoPhase both capture
-  // it before dispatch), so the override covers every scan of this query
-  // even on an ephemeral worker pool.
+  // Per-query byte accounting: the corpus may be shared with concurrent
+  // queries, so this thread's scanning goes into a local counter. The
+  // parallel stages (IrExecutor, RunTwoPhase) re-install this thread's
+  // scope on every pool worker, so it covers every scan of the query.
   std::atomic<uint64_t> scanned{0};
   Corpus::ScanCounterScope scope(&scanned);
-  ExecSurface surface;
-  surface.corpus = snapshot.corpus.get();
-  surface.built = snapshot.built.get();
-  surface.compiler = snapshot.compiler.get();
-  surface.epoch = snapshot.epoch;
-  surface.maintain = snapshot.maintain;
-  surface.maintained = true;
-  // The cache outlives the snapshot only via the system; grab the
-  // current instance — entries for the snapshot's pinned epoch are
-  // retained as long as the snapshot lives.
-  surface.eval_cache = eval_cache_.get();
-  // Snapshot queries run concurrently, so they cannot share the system
-  // pool (ParallelFor is not reentrant across callers); a query asking
-  // for workers gets its own short-lived pool instead.
-  const int exec_workers = EffectiveParallelism(options.exec_workers);
-  std::unique_ptr<ThreadPool> query_pool;
-  if (exec_workers > 1) {
-    query_pool = std::make_unique<ThreadPool>(exec_workers);
-    surface.pool = query_pool.get();
-  } else {
-    surface.pool = nullptr;
-  }
-  surface.scan_counter = &scanned;
-  return ExecuteWithSurface(surface, query, mode, options,
-                            plans != nullptr ? &key : nullptr,
-                            std::move(cached_plan));
+  return RunLadder(state, query, mode, options, pool, scanned,
+                   plans != nullptr ? &key : nullptr,
+                   std::move(cached_plan));
 }
 
 void FileQuerySystem::SetCacheOptions(const CacheOptions& options) {
@@ -442,15 +424,15 @@ CacheStats FileQuerySystem::cache_stats() const {
 }
 
 Result<QueryResult> FileQuerySystem::RunBaselinePlan(
-    const ExecSurface& surface, const SelectQuery& query,
-    const ExecContext* ctx, bool soft_fail) {
+    const Corpus& corpus, const SelectQuery& query, const ExecContext* ctx,
+    bool soft_fail, const std::atomic<uint64_t>& scanned) {
   Timer timer;
   QueryResult result;
-  result.stats.corpus_bytes = surface.corpus->size();
+  result.stats.corpus_bytes = corpus.size();
   ObjectStore store;
   QOF_ASSIGN_OR_RETURN(
       BaselineResult baseline,
-      RunBaseline(schema_, *surface.corpus, query, full_rig_, &store, ctx,
+      RunBaseline(schema_, corpus, query, full_rig_, &store, ctx,
                   soft_fail));
   result.regions = std::move(baseline.regions);
   result.values = std::move(baseline.projected);
@@ -463,77 +445,42 @@ Result<QueryResult> FileQuerySystem::RunBaselinePlan(
   }
   result.stats.objects_built = baseline.objects_built;
   result.stats.results = result.regions.size();
-  result.stats.bytes_scanned = surface.BytesScanned();
+  result.stats.bytes_scanned = scanned.load(std::memory_order_relaxed);
   result.stats.micros = timer.Micros();
   return result;
 }
 
-Result<QueryResult> FileQuerySystem::ExecuteQueryImpl(
-    const SelectQuery& query, ExecutionMode mode,
-    const QueryOptions& options, const std::string* plan_key,
-    std::shared_ptr<const QueryPlan> cached_plan) {
-  ExecSurface surface;
-  surface.corpus = corpus_.get();
-  surface.built = built_.get();
-  surface.compiler = compiler_.get();
-  surface.epoch = CurrentEpochUnlocked();
-  surface.maintain =
-      maintainer_ != nullptr ? maintainer_->stats() : MaintainStats{};
-  surface.maintained = maintainer_ != nullptr;
-  surface.eval_cache = eval_cache_.get();
-  // One pool serves both parallel surfaces: two-phase candidate
-  // verification (sized by the system parallelism knob) and morsel-driven
-  // IR execution (sized by the query's exec_workers request) — composed
-  // by taking the larger of the two.
-  surface.pool =
-      EnsurePool(std::max(EffectiveParallelism(parallelism_),
-                          EffectiveParallelism(options.exec_workers)));
-  // The live path owns the corpus counter (no concurrent readers by
-  // contract — see AcquireSnapshot's concurrency notes).
-  corpus_->ResetBytesRead();
-  return ExecuteWithSurface(surface, query, mode, options, plan_key,
-                            std::move(cached_plan));
-}
-
-Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
-    const ExecSurface& surface, const SelectQuery& query,
-    ExecutionMode mode, const QueryOptions& options,
-    const std::string* plan_key,
+Result<QueryResult> FileQuerySystem::RunLadder(
+    const IndexSnapshot& state, const SelectQuery& query, ExecutionMode mode,
+    const QueryOptions& options, ThreadPool* pool,
+    const std::atomic<uint64_t>& scanned, const std::string* plan_key,
     std::shared_ptr<const QueryPlan> cached_plan) {
   QOF_RETURN_IF_ERROR(CheckView(query.view));
 
-  const Corpus& corpus = *surface.corpus;
+  const Corpus& corpus = *state.corpus;
+  auto bytes_scanned = [&scanned] {
+    return scanned.load(std::memory_order_relaxed);
+  };
 
   // Arm governance. With no limits set `ctx` stays null and every checked
   // path below takes its pre-governance fast path.
   ExecContext governed(options);
   const ExecContext* ctx = nullptr;
   if (governed.active()) {
-    governed.set_scanned_bytes_counter(
-        surface.scan_counter != nullptr ? surface.scan_counter
-                                        : &corpus.bytes_read_counter());
+    governed.set_scanned_bytes_counter(&scanned);
     ctx = &governed;
   }
   // Layers without an explicit ExecContext* — the store's buffer pool on
   // a page miss — pick the context up thread-locally, so a governed
   // query's deadline and cancellation reach into the disk tier.
   ExecContext::ThreadScope thread_scope(ctx);
-  // Arm this thread's scan accounting so the disk tier's decompressed
-  // index bytes (Corpus::ChargeScanBytes) are counted. Snapshot queries
-  // already route to their private counter — this resolves to the same
-  // one; the live path resolves to the corpus's own counter, exactly
-  // where its ScanText charges always landed.
-  Corpus::ScanCounterScope scan_scope(
-      surface.scan_counter != nullptr
-          ? surface.scan_counter
-          : &corpus.mutable_bytes_read_counter());
 
   // The baseline needs no indices at all.
   if (mode == ExecutionMode::kBaseline) {
-    auto out = RunBaselinePlan(surface, query, ctx, options.soft_fail);
+    auto out =
+        RunBaselinePlan(corpus, query, ctx, options.soft_fail, scanned);
     if (!out.ok()) {
-      return WithProgress(out.status(), "baseline", surface.BytesScanned(),
-                          ctx);
+      return WithProgress(out.status(), "baseline", bytes_scanned(), ctx);
     }
     return out;
   }
@@ -542,7 +489,7 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
   QueryResult result;
   result.stats.corpus_bytes = corpus.size();
 
-  if (surface.compiler == nullptr || surface.built == nullptr) {
+  if (state.compiler == nullptr || state.built == nullptr) {
     return Status::InvalidArgument(
         "indexes not built; call BuildIndexes() first (or use "
         "ExecutionMode::kBaseline)");
@@ -550,20 +497,20 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
   std::shared_ptr<const QueryPlan> plan_ptr = std::move(cached_plan);
   if (plan_ptr == nullptr) {
     QOF_ASSIGN_OR_RETURN(QueryPlan compiled,
-                         surface.compiler->Compile(query));
+                         state.compiler->Compile(query));
     plan_ptr = std::make_shared<const QueryPlan>(std::move(compiled));
     if (plan_key != nullptr && plan_cache_ != nullptr) {
       auto entry = std::make_shared<PlanCache::Entry>();
       entry->query = query;
-      entry->build = surface.epoch.build;
+      entry->build = state.epoch.build;
       entry->plan = plan_ptr;
       plan_cache_->Insert(*plan_key, std::move(entry));
     }
   }
   const QueryPlan& plan = *plan_ptr;
   result.stats.notes = plan.notes;
-  if (surface.maintained && surface.maintain.generation > 0) {
-    const MaintainStats& ms = surface.maintain;
+  if (state.maintain.generation > 0) {
+    const MaintainStats& ms = state.maintain;
     result.stats.notes.push_back(
         "indexes maintained incrementally: generation " +
         std::to_string(ms.generation) + ", " +
@@ -583,10 +530,11 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
   // view-checked, and the accumulated notes (ending in the fallback
   // decision) come before any notes the plan itself adds.
   auto run_baseline_fallback = [&]() -> Result<QueryResult> {
-    auto fallback = RunBaselinePlan(surface, query, ctx, options.soft_fail);
+    auto fallback =
+        RunBaselinePlan(corpus, query, ctx, options.soft_fail, scanned);
     if (!fallback.ok()) {
-      return WithProgress(fallback.status(), "baseline",
-                          surface.BytesScanned(), ctx);
+      return WithProgress(fallback.status(), "baseline", bytes_scanned(),
+                          ctx);
     }
     fallback->stats.notes.insert(fallback->stats.notes.begin(),
                                  result.stats.notes.begin(),
@@ -638,23 +586,24 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
   IrProgram ir = LowerToIr(plan.candidates.get(), plan.projection.get(),
                            plan.join_lhs_attrs.get(),
                            plan.join_rhs_attrs.get());
-  RunPasses(&ir, ir_options_, &surface.built->regions, &surface.built->words,
-            &surface.compiler->partial_rig());
-  IrExecutor ir_exec(&ir, &surface.built->regions, &surface.built->words,
-                     surface.corpus, ctx, surface.eval_cache, surface.epoch);
+  RunPasses(&ir, ir_options_, &state.built->regions, &state.built->words,
+            &state.compiler->partial_rig());
+  // The eval cache is the system's current instance; entries keyed under
+  // a snapshot's pinned epoch are retained as long as the snapshot lives.
+  IrExecutor ir_exec(&ir, &state.built->regions, &state.built->words,
+                     &corpus, ctx, eval_cache_.get(), state.epoch);
   ir_exec.SetJoinFn([&corpus](const RegionSet& cands, const RegionSet& lhs,
                               const RegionSet& rhs) {
     return RunIndexJoin(corpus, cands, lhs, rhs);
   });
   // Morsel-driven execution: ready IR nodes (and large node-internal
-  // folds/scans) dispatch onto the surface's pool. Results are
-  // byte-identical at every worker count — see DESIGN.md §5k.
+  // folds/scans) dispatch onto `pool`. Results are byte-identical at
+  // every worker count — see DESIGN.md §5k.
   const int exec_workers = EffectiveParallelism(options.exec_workers);
-  if (surface.pool != nullptr && exec_workers > 1) {
-    ir_exec.SetThreadPool(surface.pool, exec_workers);
+  if (pool != nullptr && exec_workers > 1) {
+    ir_exec.SetThreadPool(pool, exec_workers);
     result.stats.exec_workers = exec_workers;
   }
-  ir_exec.set_prefetch(options.prefetch);
   if (ir_options_.morsel_grain != 0) {
     ir_exec.set_morsel_grain(ir_options_.morsel_grain);
   }
@@ -662,7 +611,7 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
 
   // Phase 1: evaluate the candidate expression on the indices. With the
   // eval cache on, every composite subexpression is first looked up by
-  // its serialized normal form under the surface's index epoch.
+  // its serialized normal form under the state's index epoch.
   RegionSet candidates;
   {
     auto cand = ir_exec.EvaluateRoot(ir.candidates, &result.stats.algebra);
@@ -671,7 +620,7 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
       // them too): kAuto degrades straight to the baseline.
       if (!degradable(cand.status())) {
         return WithProgress(cand.status(), "phase-1 candidates",
-                            surface.BytesScanned(), ctx);
+                            bytes_scanned(), ctx);
       }
       degrade_to("baseline", cand.status());
       return run_baseline_fallback();
@@ -715,13 +664,13 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
       result.stats.exact = true;
       result.stats.results =
           wants_projection ? result.values.size() : result.regions.size();
-      result.stats.bytes_scanned = surface.BytesScanned();
+      result.stats.bytes_scanned = bytes_scanned();
       result.stats.op_timings = ir_exec.timings();
       result.stats.micros = timer.Micros();
       return result;
     }
     if (!degradable(rung)) {
-      return WithProgress(rung, "index-only", surface.BytesScanned(), ctx);
+      return WithProgress(rung, "index-only", bytes_scanned(), ctx);
     }
     degrade_to("two-phase", rung);
     index_rung_degraded = true;
@@ -755,13 +704,13 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
       result.stats.strategy = "index-join";
       result.stats.exact = true;
       result.stats.results = result.regions.size();
-      result.stats.bytes_scanned = surface.BytesScanned();
+      result.stats.bytes_scanned = bytes_scanned();
       result.stats.op_timings = ir_exec.timings();
       result.stats.micros = timer.Micros();
       return result;
     }
     if (!degradable(rung)) {
-      return WithProgress(rung, "index-join", surface.BytesScanned(), ctx);
+      return WithProgress(rung, "index-join", bytes_scanned(), ctx);
     }
     degrade_to("two-phase", rung);
   }
@@ -769,12 +718,12 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
   // Phase 2 (§6.2): parse candidates, filter in the database.
   ObjectStore store;
   auto two_phase =
-      RunTwoPhase(schema_, corpus, plan, candidates, full_rig_, &store,
-                  surface.pool, ctx, options.soft_fail);
+      RunTwoPhase(schema_, corpus, plan, candidates, full_rig_, &store, pool,
+                  ctx, options.soft_fail);
   if (!two_phase.ok()) {
     if (!degradable(two_phase.status())) {
       return WithProgress(two_phase.status(), "two-phase",
-                          surface.BytesScanned(), ctx);
+                          bytes_scanned(), ctx);
     }
     degrade_to("baseline", two_phase.status());
     return run_baseline_fallback();
@@ -793,7 +742,7 @@ Result<QueryResult> FileQuerySystem::ExecuteWithSurface(
   result.stats.objects_built = two_phase->candidates_parsed;
   result.stats.results =
       wants_projection ? result.values.size() : result.regions.size();
-  result.stats.bytes_scanned = surface.BytesScanned();
+  result.stats.bytes_scanned = bytes_scanned();
   result.stats.op_timings = ir_exec.timings();
   result.stats.micros = timer.Micros();
   return result;

@@ -139,9 +139,9 @@ class FileQuerySystem {
   // Concurrency contract: mutations (AddFile / UpdateFile / RemoveFile /
   // CompactIndexes / BuildIndexes / ImportIndexes) are serialized against
   // each other internally and may run concurrently with any number of
-  // ExecuteOnSnapshot calls. The *live* Execute/ExecuteQuery paths are
-  // NOT safe against concurrent mutations — multi-client callers (see
-  // qof/server/) route every query through a snapshot.
+  // ExecuteOnSnapshot calls. The *live* Execute path is NOT safe against
+  // concurrent mutations — multi-client callers (see qof/server/) route
+  // every query through a snapshot.
 
   /// Pins the current corpus + indexes + compiler as an immutable
   /// generation-stamped view. Queries on the snapshot see exactly this
@@ -151,12 +151,14 @@ class FileQuerySystem {
   /// pinned state (and its eval-cache entries). Requires built indexes.
   Result<SnapshotRef> AcquireSnapshot();
 
-  /// Parses and runs `fql` against `snapshot` instead of the live state.
-  /// Thread-safe: any number of snapshot executions may run concurrently
-  /// with each other and with mutations. Execution is serial (no worker
-  /// pool) — the multi-client service gets its parallelism across
-  /// queries, not within one. Both caches serve it: the eval cache under
-  /// the snapshot's pinned epoch, the plan cache guarded by
+  /// Parses and runs `fql` against `snapshot` instead of the live state,
+  /// through the same body as Execute. Thread-safe: any number of
+  /// snapshot executions may run concurrently with each other and with
+  /// mutations. They cannot share the system pool, so a query asking for
+  /// `options.exec_workers` > 1 gets its own short-lived pool of that
+  /// size (the server caps the request with its `limits.exec_workers`);
+  /// otherwise it runs serially. Both caches serve it: the eval cache
+  /// under the snapshot's pinned epoch, the plan cache guarded by
   /// PlanCache::Entry::build (plans depend on the compiler, which is
   /// replaced per build — entries from another build are ignored).
   Result<QueryResult> ExecuteOnSnapshot(const IndexSnapshot& snapshot,
@@ -201,9 +203,6 @@ class FileQuerySystem {
   Result<QueryResult> Execute(std::string_view fql,
                               ExecutionMode mode = ExecutionMode::kAuto,
                               const QueryOptions& options = {});
-  Result<QueryResult> ExecuteQuery(const SelectQuery& query,
-                                   ExecutionMode mode,
-                                   const QueryOptions& options = {});
 
   /// Installs (or disables, with a default-constructed CacheOptions) the
   /// two query caches. The plan cache maps FQL text to its parsed AST and
@@ -270,14 +269,15 @@ class FileQuerySystem {
   uint64_t IndexBytes() const;
 
   /// Serializes the built indexes (plus their spec and maintenance
-  /// generation) to a v2 blob with per-document fingerprints. Compacts
-  /// first if mutations left tombstoned spans. Fails if indexes are not
-  /// built or the spec has a non-serializable token filter.
+  /// generation) to a QOFIDX3 blob with per-document fingerprints.
+  /// Compacts first if mutations left tombstoned spans. Fails if indexes
+  /// are not built or the spec has a non-serializable token filter.
   Result<std::string> ExportIndexes();
 
-  /// Installs previously exported indexes (v1 or v2 blobs), skipping the
-  /// parse/build step. Fails when the blob does not match the corpus —
-  /// for v2 blobs the error names the stale documents. The import is
+  /// Installs previously exported indexes (QOFIDX3 blobs; older formats
+  /// are refused with an error naming them), skipping the parse/build
+  /// step. Fails when the blob does not match the corpus — the error
+  /// names the stale documents. The import is
   /// all-or-nothing: the blob is decoded and validated into a staging
   /// area first, and the system's indexes, spec, compiler and maintainer
   /// are swapped only after every step succeeded — a corrupt blob leaves
@@ -326,30 +326,6 @@ class FileQuerySystem {
   Result<std::string> ExplainPlan(std::string_view fql,
                                   std::vector<PassTrace>* trace) const;
 
-  /// Everything one query execution reads, bundled so the same body
-  /// serves the live state (members) and a pinned snapshot. When
-  /// `scan_counter` is set, byte accounting for the whole execution is
-  /// routed there (thread-locally) instead of the corpus's shared
-  /// counter — concurrent snapshot queries over one corpus each keep
-  /// exact per-query totals.
-  struct ExecSurface {
-    const Corpus* corpus = nullptr;
-    const BuiltIndexes* built = nullptr;        // null before BuildIndexes
-    const QueryCompiler* compiler = nullptr;    // null before BuildIndexes
-    CacheEpoch epoch;
-    MaintainStats maintain;
-    bool maintained = false;  // a maintainer exists (indexes built)
-    EvalCache* eval_cache = nullptr;
-    ThreadPool* pool = nullptr;                 // null -> serial paths
-    std::atomic<uint64_t>* scan_counter = nullptr;
-
-    uint64_t BytesScanned() const {
-      return scan_counter != nullptr
-                 ? scan_counter->load(std::memory_order_relaxed)
-                 : corpus->bytes_read();
-    }
-  };
-
   Status CheckView(const std::string& view) const;
 
   /// (Re)creates the maintainer over the current built_ + corpus_,
@@ -363,32 +339,38 @@ class FileQuerySystem {
   /// Caller must hold state_mu_.
   void CowIfPinnedLocked();
 
-  /// The baseline plan body, shared by ExecuteQuery(kBaseline) and the
-  /// auto-mode fallback (which has already parsed and view-checked the
-  /// query, so it must not pay for either again). Does not reset the
-  /// corpus byte counter: the caller owns it, so bytes accumulate across
-  /// fallback rungs and stay monotone for the byte budget.
-  Result<QueryResult> RunBaselinePlan(const ExecSurface& surface,
+  /// The one query body behind Execute and ExecuteOnSnapshot: serves
+  /// the parse (and plan) from the plan cache or parses and publishes it,
+  /// routes this query's scanned bytes — corpus text and the disk tier's
+  /// decoded index bytes, on this thread and on every worker the parallel
+  /// stages re-arm — into a per-query counter, and runs RunLadder over
+  /// `state`. `pool` (null = serial) serves both morsel IR execution and
+  /// two-phase verification.
+  Result<QueryResult> RunQuery(const IndexSnapshot& state,
+                               std::string_view fql, ExecutionMode mode,
+                               const QueryOptions& options, ThreadPool* pool);
+
+  /// The strategy ladder over `state` (whose built/compiler are null
+  /// before BuildIndexes — only kBaseline runs then). `plan_key` (the
+  /// FQL text, non-null only when the plan cache is on) lets a compiled
+  /// plan be published back to the cache; `cached_plan` skips
+  /// compilation when the lookup already produced one.
+  Result<QueryResult> RunLadder(const IndexSnapshot& state,
+                                const SelectQuery& query, ExecutionMode mode,
+                                const QueryOptions& options, ThreadPool* pool,
+                                const std::atomic<uint64_t>& scanned,
+                                const std::string* plan_key,
+                                std::shared_ptr<const QueryPlan> cached_plan);
+
+  /// The baseline plan body, shared by kBaseline and the auto-mode
+  /// fallback (which has already parsed and view-checked the query, so
+  /// it must not pay for either again). `scanned` is the query's counter:
+  /// bytes accumulate across fallback rungs and stay monotone for the
+  /// byte budget.
+  Result<QueryResult> RunBaselinePlan(const Corpus& corpus,
                                       const SelectQuery& query,
-                                      const ExecContext* ctx,
-                                      bool soft_fail);
-
-  /// Live-state entry: builds the surface from members, resets the corpus
-  /// byte counter, delegates to ExecuteWithSurface. `plan_key` (the FQL
-  /// text, non-null only when the plan cache is on) lets the compiled
-  /// plan be published back to the cache; `cached_plan` skips compilation
-  /// when the lookup already produced one.
-  Result<QueryResult> ExecuteQueryImpl(
-      const SelectQuery& query, ExecutionMode mode,
-      const QueryOptions& options, const std::string* plan_key,
-      std::shared_ptr<const QueryPlan> cached_plan);
-
-  /// The strategy ladder itself, parameterized by the surface it reads.
-  Result<QueryResult> ExecuteWithSurface(
-      const ExecSurface& surface, const SelectQuery& query,
-      ExecutionMode mode, const QueryOptions& options,
-      const std::string* plan_key,
-      std::shared_ptr<const QueryPlan> cached_plan);
+                                      const ExecContext* ctx, bool soft_fail,
+                                      const std::atomic<uint64_t>& scanned);
 
   /// The epoch eval-cache entries are keyed under right now. Reads
   /// maintainer state directly (no public accessors), so it is safe both

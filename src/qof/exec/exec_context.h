@@ -52,14 +52,8 @@ struct QueryOptions {
   /// morsels in canonical doc order.
   int exec_workers = 1;
 
-  /// Let disk-tier cursor kernels emit skip-table-guided prefetch hints
-  /// so the buffer pool batches multi-page reads. Affects I/O counts
-  /// only, never results.
-  bool prefetch = true;
-
-  // Note: exec_workers / prefetch tune execution, they are not
-  // limits — they must not make a default-constructed QueryOptions count
-  // as "governed".
+  // Note: exec_workers tunes execution, it is not a limit — it must not
+  // make a default-constructed QueryOptions count as "governed".
   bool unlimited() const {
     return deadline_ms == 0 && max_bytes == 0 && max_regions == 0 &&
            cancel == nullptr;
@@ -89,8 +83,8 @@ class ExecContext {
   /// so the hot paths skip checkpoints entirely.
   bool active() const { return active_; }
 
-  /// Points the byte budget at a live scanned-bytes counter (in
-  /// practice Corpus::bytes_read_counter()). May be null.
+  /// Points the byte budget at a live scanned-bytes counter (a query's
+  /// own counter, or Corpus::bytes_read_counter()). May be null.
   void set_scanned_bytes_counter(const std::atomic<uint64_t>* counter) {
     scanned_bytes_ = counter;
   }

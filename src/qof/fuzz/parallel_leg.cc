@@ -98,18 +98,20 @@ Status CheckParallelExec(
 
   // Disk tier: prefetch changes page-read batching, never answers; the
   // worker × prefetch grid must all land on the in-memory baseline.
+  // Prefetch is a store option, so each setting opens its own system.
   const std::string path = StorePath(seed);
   FileGuard guard{path};
   QOF_RETURN_IF_ERROR(sys->SaveStore(path, /*page_size=*/256));
-  std::unique_ptr<FileQuerySystem> disk = make_system();
-  disk->SetParallelism(1);
-  QOF_RETURN_IF_ERROR(disk->OpenStore(path, PagedStoreOptions{}));
-  disk->SetIrOptions(knobs);
-  for (int workers : {1, 2, 4}) {
-    for (bool prefetch : {true, false}) {
+  for (bool prefetch : {true, false}) {
+    std::unique_ptr<FileQuerySystem> disk = make_system();
+    disk->SetParallelism(1);
+    PagedStoreOptions store_options;
+    store_options.prefetch = prefetch;
+    QOF_RETURN_IF_ERROR(disk->OpenStore(path, store_options));
+    disk->SetIrOptions(knobs);
+    for (int workers : {1, 2, 4}) {
       QueryOptions par = serial;
       par.exec_workers = workers;
-      par.prefetch = prefetch;
       const std::string tail = " w=" + std::to_string(workers) +
                                (prefetch ? " pf=on" : " pf=off");
       if (!Agrees("parallel/disk" + tail, base,

@@ -259,7 +259,6 @@ Result<std::optional<IrExecutor::Slot>> IrExecutor::TryCursorPath(
         std::unique_ptr<RegionCursor> cursor,
         regions_->OpenCursor(program_->nodes[load_id].name));
     if (cursor == nullptr) return std::optional<Slot>();
-    cursor->set_prefetch_allowed(prefetch_);
     if (words_->disk_resident()) {
       QOF_RETURN_IF_ERROR(words_->EnsureLoaded(tokens[0].text));
     }
@@ -291,7 +290,6 @@ Result<std::optional<IrExecutor::Slot>> IrExecutor::TryCursorPath(
       std::unique_ptr<RegionCursor> cursor,
       regions_->OpenCursor(program_->nodes[load_id].name));
   if (cursor == nullptr) return std::optional<Slot>();
-  cursor->set_prefetch_allowed(prefetch_);
   if (stats != nullptr && node.op != IrOp::kProject) {
     ++stats->simple_incl_ops;
   }

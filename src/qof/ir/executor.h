@@ -97,10 +97,6 @@ class IrExecutor {
     workers_ = workers;
   }
 
-  /// Per-query QueryOptions::prefetch: forwarded to every cursor the
-  /// disk fast path opens. Affects I/O batching only, never results.
-  void set_prefetch(bool prefetch) { prefetch_ = prefetch; }
-
   /// Minimum input size (regions) before a node's internal work is worth
   /// splitting into morsels; a node splits once its driving input holds
   /// at least two grains. Tests and the fuzzer lower this to exercise
@@ -209,7 +205,6 @@ class IrExecutor {
 
   ThreadPool* pool_ = nullptr;
   int workers_ = 1;
-  bool prefetch_ = true;
   size_t morsel_grain_ = 2048;
   bool inject_racy_merge_ = false;
 

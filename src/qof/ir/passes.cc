@@ -53,16 +53,19 @@ double LoadCardinality(const RegionIndex* regions, const std::string& name) {
   return static_cast<double>(regions->InstanceCount(name));
 }
 
-double SelectPostings(const WordIndex* words, const SelectSpec& spec) {
-  if (words == nullptr) return 0;
+/// Postings of the selection's (first) word or prefix. Count-only, like
+/// LoadCardinality: a disk-backed index answers from its dictionary and
+/// pages no posting list in. Fails only when that dictionary probe does.
+Result<uint64_t> SelectPostings(const WordIndex* words,
+                                const SelectSpec& spec) {
+  if (words == nullptr) return uint64_t{0};
   auto tokens = Tokenizer::Tokenize(spec.word);
-  if (tokens.empty()) return 0;
-  std::string word(tokens[0].text);
+  if (tokens.empty()) return uint64_t{0};
   if (spec.kind == ExprKind::kSelectStartsWith ||
       spec.kind == ExprKind::kSelectContainsPrefix) {
-    return static_cast<double>(words->LookupPrefix(word).size());
+    return words->CountPrefixPostings(tokens[0].text);
   }
-  return static_cast<double>(words->Lookup(word).size());
+  return words->CountPostings(tokens[0].text);
 }
 
 struct Est {
@@ -73,7 +76,12 @@ struct Est {
 Est SelectEst(const Est& child, const SelectSpec& spec,
               const WordIndex* words) {
   Est est;
-  est.card = std::min(child.card, SelectPostings(words, spec));
+  // A failed probe leaves the estimate unreduced instead of claiming the
+  // selection is empty.
+  Result<uint64_t> postings = SelectPostings(words, spec);
+  est.card = postings.ok()
+                 ? std::min(child.card, static_cast<double>(*postings))
+                 : child.card;
   est.work = child.work + child.card;
   if (spec.kind == ExprKind::kSelectPhrase) est.work += est.card * 8;
   return est;

@@ -80,15 +80,8 @@ class RegionCursor {
   /// I/O this cursor has done so far (disk implementation only).
   virtual CursorIoStats io_stats() const { return CursorIoStats{}; }
 
-  /// Per-query override (QueryOptions::prefetch): a cursor opened for a
-  /// prefetch-off query keeps the PR 9 one-page-at-a-time behavior even
-  /// when the store allows prefetch. Implementations AND this into
-  /// wants_prefetch().
-  void set_prefetch_allowed(bool allowed) { prefetch_allowed_ = allowed; }
-
  protected:
   uint64_t blocks_decoded_ = 0;
-  bool prefetch_allowed_ = true;
 };
 
 /// An in-memory cursor over a RegionSet's vector, blocked at `block_size`

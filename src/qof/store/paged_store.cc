@@ -55,7 +55,7 @@ class StoreRegionCursorImpl : public RegionCursor {
   }
 
   bool wants_prefetch() const override {
-    return store_->prefetch_ && prefetch_allowed_;
+    return store_->prefetch_;
   }
 
   void PrefetchBlocks(size_t first, size_t count) override {

@@ -55,6 +55,11 @@ Result<std::optional<std::vector<TextPos>>> StorePostingSource::Load(
   return std::optional<std::vector<TextPos>>(std::move(postings));
 }
 
+Result<uint64_t> StorePostingSource::Count(std::string_view word) const {
+  QOF_ASSIGN_OR_RETURN(auto entry, store_->FindWordEntry(word));
+  return entry.has_value() ? entry->count : uint64_t{0};
+}
+
 Result<std::vector<std::string>> StorePostingSource::WordsWithPrefix(
     std::string_view prefix) const {
   return store_->WordsWithPrefix(prefix);

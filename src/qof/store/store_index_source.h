@@ -44,6 +44,7 @@ class StorePostingSource : public PostingSource {
   uint64_t approx_bytes() const override;
   Result<std::optional<std::vector<TextPos>>> Load(
       std::string_view word) const override;
+  Result<uint64_t> Count(std::string_view word) const override;
   Result<std::vector<std::string>> WordsWithPrefix(
       std::string_view prefix) const override;
   Result<std::vector<Entry>> Entries() const override;

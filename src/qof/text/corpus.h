@@ -129,8 +129,8 @@ class Corpus {
   /// bytes_read() to compare how much text each query plan had to touch.
   /// When a ScanCounterScope is active on the calling thread, accounting
   /// goes to its counter instead of this corpus's — that is how
-  /// concurrent snapshot queries sharing one corpus keep independent
-  /// per-query byte totals (stats and byte budgets).
+  /// queries (which each install one) keep independent per-query byte
+  /// totals (stats and byte budgets) over a shared corpus.
   std::string_view ScanText(TextPos start, TextPos end) const {
     std::atomic<uint64_t>* counter =
         tls_scan_counter_ != nullptr ? tls_scan_counter_ : &bytes_read_;
@@ -190,12 +190,6 @@ class Corpus {
   /// The live counter itself, so a byte budget (ExecContext) can watch
   /// scanning progress without a dependency on this class.
   const std::atomic<uint64_t>& bytes_read_counter() const {
-    return bytes_read_;
-  }
-  /// Writable view of the same counter, for a ScanCounterScope that
-  /// routes a live (non-snapshot) execution's disk-tier charges here.
-  /// Const: the counter is accounting state, not corpus content.
-  std::atomic<uint64_t>& mutable_bytes_read_counter() const {
     return bytes_read_;
   }
 

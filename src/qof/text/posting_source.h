@@ -15,9 +15,10 @@ namespace qof {
 /// A backing tier a WordIndex can load posting lists from on demand (the
 /// disk-resident paged store implements this; see qof/store/). Unlike
 /// region names, words number in the hundreds of thousands, so the index
-/// never enumerates them eagerly: presence is a dictionary probe, prefix
-/// search asks the source's sorted dictionary, and Entries() exists only
-/// for full materialization (serialization, mutations).
+/// never enumerates them eagerly: presence and counts are dictionary
+/// probes, prefix search asks the source's sorted dictionary, and
+/// Entries() exists only for full materialization (serialization,
+/// mutations).
 ///
 /// Implementations must be thread-safe.
 class PostingSource {
@@ -38,6 +39,11 @@ class PostingSource {
   /// (absence is an answer, not an error).
   virtual Result<std::optional<std::vector<TextPos>>> Load(
       std::string_view word) const = 0;
+
+  /// The word's posting count from the dictionary alone (0 when the word
+  /// is not stored) — never reads the postings themselves, so planning
+  /// can size a selection without paging its list in.
+  virtual Result<uint64_t> Count(std::string_view word) const = 0;
 
   /// Stored words beginning with `prefix`, sorted.
   virtual Result<std::vector<std::string>> WordsWithPrefix(

@@ -134,6 +134,39 @@ const std::vector<TextPos>& WordIndex::Lookup(std::string_view word) const {
   return it == postings_.end() ? kEmpty : it->second;
 }
 
+Result<uint64_t> WordIndex::CountLocked(const std::string& key) const {
+  auto it = postings_.find(key);
+  if (it != postings_.end()) return uint64_t{it->second.size()};
+  if (all_resident_.load(std::memory_order_acquire) ||
+      absent_.count(key) > 0) {
+    return uint64_t{0};
+  }
+  return source_->Count(key);
+}
+
+Result<uint64_t> WordIndex::CountPostings(std::string_view word) const {
+  if (!disk_resident()) return uint64_t{Lookup(word).size()};
+  std::string key = options_.fold_case ? FoldCase(word) : std::string(word);
+  std::lock_guard<std::mutex> lock(lazy_mu_);
+  return CountLocked(key);
+}
+
+Result<uint64_t> WordIndex::CountPrefixPostings(
+    std::string_view prefix) const {
+  if (!disk_resident()) return uint64_t{LookupPrefix(prefix).size()};
+  std::string key = options_.fold_case ? FoldCase(prefix)
+                                       : std::string(prefix);
+  QOF_ASSIGN_OR_RETURN(std::vector<std::string> words,
+                       source_->WordsWithPrefix(key));
+  std::lock_guard<std::mutex> lock(lazy_mu_);
+  uint64_t total = 0;
+  for (const std::string& word : words) {
+    QOF_ASSIGN_OR_RETURN(uint64_t n, CountLocked(word));
+    total += n;
+  }
+  return total;
+}
+
 Status WordIndex::EnsureLoaded(std::string_view word) const {
   if (source_ == nullptr || all_resident_.load(std::memory_order_acquire)) {
     return Status::OK();

@@ -66,6 +66,16 @@ class WordIndex {
            !all_resident_.load(std::memory_order_acquire);
   }
 
+  /// Number of `word`'s postings without paging them in: the resident
+  /// list's size when loaded, else the source dictionary's count. Fails
+  /// only when a dictionary probe does.
+  Result<uint64_t> CountPostings(std::string_view word) const;
+
+  /// Sum of CountPostings over every indexed word beginning with
+  /// `prefix` (the size LookupPrefix would answer), equally I/O-free on
+  /// the posting lists.
+  Result<uint64_t> CountPrefixPostings(std::string_view prefix) const;
+
   /// Pages `word`'s postings in (no-op when already resident or the word
   /// is absent) — the fallible face of Lookup().
   Status EnsureLoaded(std::string_view word) const;
@@ -204,6 +214,10 @@ class WordIndex {
   /// resident list, or null when the word is absent. Caller holds
   /// lazy_mu_.
   Result<const std::vector<TextPos>*> LoadLocked(const std::string& key) const;
+
+  /// CountPostings for `key` (already case-folded) while a source is
+  /// attached. Caller holds lazy_mu_.
+  Result<uint64_t> CountLocked(const std::string& key) const;
 
   /// Mutable: Lookup materializes lazily under lazy_mu_ while a source is
   /// attached. Node-based, so references handed out survive later

@@ -1,10 +1,14 @@
 #include "qof/engine/system.h"
 
+#include <cstdio>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "qof/datagen/bibtex_gen.h"
 #include "qof/datagen/schemas.h"
 
 namespace qof {
@@ -423,6 +427,148 @@ TEST_F(SystemTest, ExplainDescribesPlan) {
       "SELECT r FROM References r WHERE r.Key.*X.Last_Name = \"x\"");
   ASSERT_TRUE(empty.ok());
   EXPECT_NE(empty->find("empty"), std::string::npos);
+}
+
+/// Everything a caller can observe of one execution except wall times.
+void ExpectSameExecution(const Result<QueryResult>& want,
+                         const Result<QueryResult>& got,
+                         const std::string& label) {
+  ASSERT_EQ(want.ok(), got.ok())
+      << label << ": "
+      << (want.ok() ? got.status() : want.status()).ToString();
+  if (!want.ok()) {
+    EXPECT_EQ(want.status().ToString(), got.status().ToString()) << label;
+    return;
+  }
+  const QueryStats& w = want->stats;
+  const QueryStats& g = got->stats;
+  EXPECT_EQ(want->regions, got->regions) << label;
+  EXPECT_EQ(want->RenderedValues(), got->RenderedValues()) << label;
+  EXPECT_EQ(w.strategy, g.strategy) << label;
+  EXPECT_EQ(w.exact, g.exact) << label;
+  EXPECT_EQ(w.candidates, g.candidates) << label;
+  EXPECT_EQ(w.results, g.results) << label;
+  EXPECT_EQ(w.bytes_scanned, g.bytes_scanned) << label;
+  EXPECT_EQ(w.objects_built, g.objects_built) << label;
+  EXPECT_EQ(w.exec_workers, g.exec_workers) << label;
+  EXPECT_EQ(w.notes, g.notes) << label;
+  EXPECT_EQ(w.algebra.set_ops, g.algebra.set_ops) << label;
+  EXPECT_EQ(w.algebra.select_ops, g.algebra.select_ops) << label;
+  EXPECT_EQ(w.algebra.nest_ops, g.algebra.nest_ops) << label;
+  EXPECT_EQ(w.algebra.simple_incl_ops, g.algebra.simple_incl_ops) << label;
+  EXPECT_EQ(w.algebra.direct_incl_ops, g.algebra.direct_incl_ops) << label;
+  EXPECT_EQ(w.algebra.regions_produced, g.algebra.regions_produced)
+      << label;
+  EXPECT_EQ(w.algebra.max_intermediate, g.algebra.max_intermediate)
+      << label;
+  EXPECT_EQ(w.algebra.bytes_scanned, g.algebra.bytes_scanned) << label;
+}
+
+TEST_F(SystemTest, LiveAndSnapshotQueriesAgree) {
+  // Execute and ExecuteOnSnapshot run one body: on the same state they
+  // must answer, count and annotate identically, in memory and on a
+  // store. A disk-backed index pages posting lists in on first use
+  // (charging decoded bytes once), so each storage gets two systems with
+  // identical histories — one calls live-then-snapshot, the other
+  // snapshot-then-live — and the calls are compared across them.
+  auto schema = BibtexSchema();
+  ASSERT_TRUE(schema.ok());
+  std::vector<std::string> files;
+  for (uint32_t seed : {7u, 8u}) {
+    BibtexGenOptions gen;
+    gen.num_references = 150;
+    gen.seed = seed;
+    gen.probe_author_rate = 0.2;
+    gen.probe_editor_rate = 0.2;
+    files.push_back(GenerateBibtex(gen));
+  }
+  // Keywords are not indexed, so kAuto runs every strategy below.
+  const IndexSpec spec = IndexSpec::Partial(
+      {"Reference", "Key", "Authors", "Editors", "Name", "Last_Name",
+       "Title", "Year"});
+  IrPlanOptions knobs;
+  knobs.morsel_grain = 2;  // split morsels even on this small corpus
+  CacheOptions plans_only;
+  plans_only.enable_plan_cache = true;
+  auto make = [&]() {
+    auto system = std::make_unique<FileQuerySystem>(*schema);
+    for (size_t i = 0; i < files.size(); ++i) {
+      EXPECT_TRUE(
+          system->AddFile("gen" + std::to_string(i) + ".bib", files[i])
+              .ok());
+    }
+    system->SetIrOptions(knobs);
+    system->SetCacheOptions(plans_only);
+    return system;
+  };
+
+  struct Pair {
+    std::string storage;
+    std::unique_ptr<FileQuerySystem> live_first;
+    std::unique_ptr<FileQuerySystem> snapshot_first;
+  };
+  std::vector<Pair> pairs;
+  pairs.push_back({"memory", make(), make()});
+  ASSERT_TRUE(pairs[0].live_first->BuildIndexes(spec).ok());
+  ASSERT_TRUE(pairs[0].snapshot_first->BuildIndexes(spec).ok());
+  const std::string path =
+      ::testing::TempDir() + "/live_snapshot_agree.qofstore";
+  ASSERT_TRUE(pairs[0].live_first->SaveStore(path).ok());
+  pairs.push_back({"store", make(), make()});
+  ASSERT_TRUE(pairs[1].live_first->OpenStore(path).ok());
+  ASSERT_TRUE(pairs[1].snapshot_first->OpenStore(path).ok());
+
+  const char* const queries[] = {
+      "SELECT r FROM References r WHERE r.Authors.Name.Last_Name = "
+      "\"Chang\"",
+      "SELECT r FROM References r WHERE r.Keywords CONTAINS \"series\"",
+      "SELECT r.Authors.Name.Last_Name FROM References r "
+      "WHERE r.Year = \"1993\"",
+      "SELECT r FROM References r "
+      "WHERE r.Editors.Name.Last_Name = r.Authors.Name.Last_Name",
+      "SELECT r FROM References r WHERE r.Key.*X.Last_Name = \"x\"",
+      "SELECT r FROM References r "
+      "WHERE r.Authors.Name.Last_Name STARTS \"Cha\"",
+      "SELECT r.Title FROM References r",
+  };
+  const ExecutionMode modes[] = {ExecutionMode::kAuto,
+                                 ExecutionMode::kIndexOnly,
+                                 ExecutionMode::kTwoPhase,
+                                 ExecutionMode::kBaseline};
+  std::set<std::string> strategies;
+  for (Pair& pair : pairs) {
+    FileQuerySystem& a = *pair.live_first;
+    FileQuerySystem& b = *pair.snapshot_first;
+    auto snap_a = a.AcquireSnapshot();
+    auto snap_b = b.AcquireSnapshot();
+    ASSERT_TRUE(snap_a.ok() && snap_b.ok());
+    for (const char* fql : queries) {
+      for (ExecutionMode mode : modes) {
+        for (int workers : {1, 4}) {
+          QueryOptions options;
+          options.exec_workers = workers;
+          const std::string label =
+              pair.storage + " mode=" + std::to_string(int(mode)) +
+              " w=" + std::to_string(workers) + ": " + fql;
+          auto live_a = a.Execute(fql, mode, options);
+          const uint64_t hits_a = a.cache_stats().plan_hits;
+          auto snapshot_a = a.ExecuteOnSnapshot(**snap_a, fql, mode, options);
+          EXPECT_EQ(a.cache_stats().plan_hits, hits_a + 1) << label;
+          auto snapshot_b = b.ExecuteOnSnapshot(**snap_b, fql, mode, options);
+          const uint64_t hits_b = b.cache_stats().plan_hits;
+          auto live_b = b.Execute(fql, mode, options);
+          EXPECT_EQ(b.cache_stats().plan_hits, hits_b + 1) << label;
+          ExpectSameExecution(live_a, snapshot_b, label + " (first call)");
+          ExpectSameExecution(snapshot_a, live_b, label + " (second call)");
+          if (live_a.ok()) strategies.insert(live_a->stats.strategy);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(strategies,
+            (std::set<std::string>{"index-only", "two-phase", "index-join",
+                                   "baseline", "empty"}));
+  std::remove(path.c_str());
 }
 
 TEST_F(SystemTest, IndexBytesSmallerForPartial) {

@@ -238,24 +238,27 @@ TEST(ParallelExecTest, DiskWorkerPrefetchGridMatchesMemoryBaseline) {
 
   auto schema = ParseSchemaText(g.schema_text);
   ASSERT_TRUE(schema.ok());
-  FileQuerySystem disk(*schema);
-  disk.SetParallelism(1);
-  for (const auto& [name, text] : g.docs) {
-    ASSERT_TRUE(disk.AddFile(name, text).ok());
-  }
-  ASSERT_TRUE(disk.OpenStore(path, PagedStoreOptions{}).ok());
   IrPlanOptions knobs;
   knobs.morsel_grain = 2;
-  disk.SetIrOptions(knobs);
+  // Prefetch is a store option, so each setting opens its own system.
+  for (bool prefetch : {true, false}) {
+    FileQuerySystem disk(*schema);
+    disk.SetParallelism(1);
+    for (const auto& [name, text] : g.docs) {
+      ASSERT_TRUE(disk.AddFile(name, text).ok());
+    }
+    PagedStoreOptions store_options;
+    store_options.prefetch = prefetch;
+    ASSERT_TRUE(disk.OpenStore(path, store_options).ok());
+    disk.SetIrOptions(knobs);
 
-  for (const std::string& fql : g.queries) {
-    QueryOptions serial;
-    Observed base = Observe(mem->Execute(fql, ExecutionMode::kAuto, serial));
-    for (int workers : {1, 2, 4, 8}) {
-      for (bool prefetch : {true, false}) {
+    for (const std::string& fql : g.queries) {
+      QueryOptions serial;
+      Observed base =
+          Observe(mem->Execute(fql, ExecutionMode::kAuto, serial));
+      for (int workers : {1, 2, 4, 8}) {
         QueryOptions par = serial;
         par.exec_workers = workers;
-        par.prefetch = prefetch;
         Observed got = Observe(disk.Execute(fql, ExecutionMode::kAuto, par));
         ExpectSame(base, got,
                    "disk w=" + std::to_string(workers) +

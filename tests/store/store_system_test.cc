@@ -180,6 +180,55 @@ TEST_F(StoreSystemTest, ExplainPagesInNoRegionInstance) {
   }
 }
 
+TEST_F(StoreSystemTest, ExplainReadsNoPostingList) {
+  // Selections are sized from the word dictionary's counts, so EXPLAIN
+  // over a store whose every postings-section page is damaged still
+  // prints exactly the in-memory estimates (a posting-list read would
+  // fail its checksum and size the selection 0).
+  ASSERT_TRUE(system_->BuildIndexes(IndexSpec::Full()).ok());
+  const std::string path = TempPath("explain_postings.qofstore");
+  ASSERT_TRUE(system_->SaveStore(path).ok());
+  auto image = ReadFileBytes(path);
+  ASSERT_TRUE(image.ok());
+  auto header = ParsePage(
+      std::string_view(*image).substr(0, kMinStorePageSize),
+      kMinStorePageSize, 0);
+  ASSERT_TRUE(header.ok());
+  auto meta = DecodeStoreMeta(
+      std::string_view(*image).substr(kPageHeaderSize, header->payload_len));
+  ASSERT_TRUE(meta.ok());
+  const SectionInfo& postings = meta->section(StoreSection::kPostings);
+  ASSERT_GT(postings.num_pages, 0u);
+  std::string damaged = *image;
+  for (uint32_t p = 0; p < postings.num_pages; ++p) {
+    damaged[static_cast<size_t>(postings.first_page + p) * kDefaultPageSize +
+            kPageHeaderSize] ^= 0x10;
+  }
+  const std::string bad_path = TempPath("explain_postings-damaged.qofstore");
+  ASSERT_TRUE(WriteFileBytes(bad_path, damaged).ok());
+
+  auto disk = Fresh();
+  ASSERT_TRUE(disk->OpenStore(bad_path).ok());
+  std::vector<std::string> queries(std::begin(kQueries), std::end(kQueries));
+  queries.push_back(
+      "SELECT r FROM References r "
+      "WHERE r.Authors.Name.Last_Name STARTS \"Cha\"");
+  for (const std::string& fql : queries) {
+    auto mem = system_->ExplainQuery(fql);
+    auto dsk = disk->ExplainQuery(fql);
+    ASSERT_TRUE(mem.ok()) << mem.status().ToString();
+    ASSERT_TRUE(dsk.ok()) << dsk.status().ToString();
+    EXPECT_EQ(*mem, *dsk) << fql;
+  }
+  // The damage is real: executing a selection does read a posting list.
+  auto r = disk->Execute(kQueries[0], ExecutionMode::kIndexOnly);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("checksum"), std::string::npos)
+      << r.status().ToString();
+  std::remove(path.c_str());
+  std::remove(bad_path.c_str());
+}
+
 TEST_F(StoreSystemTest, CorruptPostingPageFailsLoudlyOthersKeepAnswering) {
   ASSERT_TRUE(system_->BuildIndexes(IndexSpec::Full()).ok());
   const std::string path = TempPath("system_corrupt.qofstore");
