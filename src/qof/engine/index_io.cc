@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -318,11 +321,9 @@ Result<std::string> EncodeDocTable(const Corpus& corpus) {
   std::string out;
   PutU32(static_cast<uint32_t>(corpus.num_documents()), &out);
   for (DocId id = 0; id < corpus.num_documents(); ++id) {
-    TextPos begin = corpus.document_start(id);
-    std::string_view text = corpus.RawText(begin, corpus.document_end(id));
     PutString(corpus.document_name(id), &out);
-    PutU64(text.size(), &out);
-    PutU64(Fnv1a(text), &out);
+    PutU64(corpus.document_end(id) - corpus.document_start(id), &out);
+    PutU64(corpus.DocumentFingerprint(id), &out);
   }
   return out;
 }
@@ -342,38 +343,38 @@ std::vector<std::string> DiagnoseStaleDocs(
     const std::vector<DocFingerprint>& docs, const Corpus& corpus) {
   // Per-document staleness, by name: modified / missing / new, plus
   // "moved" when the contents all match but the physical order differs
-  // (offsets are order-dependent).
-  std::vector<DocFingerprint> live;
-  live.reserve(corpus.num_documents());
-  for (DocId id = 0; id < corpus.num_documents(); ++id) {
-    TextPos begin = corpus.document_start(id);
-    std::string_view text = corpus.RawText(begin, corpus.document_end(id));
-    live.push_back({corpus.document_name(id), text.size(), Fnv1a(text)});
+  // (offsets are order-dependent). One name map per side keeps this
+  // linear; emplace keeps the first entry of a name, as a scan would.
+  const size_t n = corpus.num_documents();
+  std::unordered_map<std::string_view, DocId> live_by_name;
+  live_by_name.reserve(n);
+  for (DocId id = 0; id < n; ++id) {
+    live_by_name.emplace(corpus.document_name(id), id);
   }
+  std::unordered_set<std::string_view> persisted_names;
+  persisted_names.reserve(docs.size());
   std::vector<std::string> stale;
-  auto find_by_name = [](const std::vector<DocFingerprint>& table,
-                         const std::string& name) -> const DocFingerprint* {
-    for (const DocFingerprint& d : table) {
-      if (d.name == name) return &d;
-    }
-    return nullptr;
-  };
   for (const DocFingerprint& d : docs) {
-    const DocFingerprint* present = find_by_name(live, d.name);
-    if (present == nullptr) {
+    persisted_names.insert(d.name);
+    auto it = live_by_name.find(d.name);
+    if (it == live_by_name.end()) {
       stale.push_back("missing: " + d.name);
-    } else if (present->size != d.size || present->fnv1a != d.fnv1a) {
+      continue;
+    }
+    DocId id = it->second;
+    if (corpus.document_end(id) - corpus.document_start(id) != d.size ||
+        corpus.DocumentFingerprint(id) != d.fnv1a) {
       stale.push_back("modified: " + d.name);
     }
   }
-  for (const DocFingerprint& d : live) {
-    if (find_by_name(docs, d.name) == nullptr) {
-      stale.push_back("new: " + d.name);
+  for (DocId id = 0; id < n; ++id) {
+    if (!persisted_names.contains(corpus.document_name(id))) {
+      stale.push_back("new: " + corpus.document_name(id));
     }
   }
-  if (stale.empty() && docs.size() == live.size()) {
+  if (stale.empty() && docs.size() == n) {
     for (size_t i = 0; i < docs.size(); ++i) {
-      if (docs[i].name != live[i].name) {
+      if (docs[i].name != corpus.document_name(static_cast<DocId>(i))) {
         stale.push_back("moved: " + docs[i].name);
       }
     }

@@ -107,7 +107,8 @@ void EncodeIndexSpec(const IndexSpec& spec, std::string* out);
 /// Decodes a standalone spec section (must consume every byte).
 Result<IndexSpec> DecodeIndexSpec(std::string_view bytes);
 
-/// The document table (u32 count, then name/size/fingerprint rows).
+/// The document table (u32 count, then name/size/fingerprint rows; the
+/// fingerprints are the corpus's memoized DocumentFingerprint values).
 /// Fails on a fragmented corpus: compact first.
 Result<std::string> EncodeDocTable(const Corpus& corpus);
 
@@ -117,7 +118,9 @@ Result<std::vector<DocFingerprint>> DecodeDocTableBytes(
 
 /// Names each document that differs between a persisted table and the
 /// live corpus ("modified: a", "missing: b", "new: c", "moved: d");
-/// empty when they match.
+/// empty when they match. Compares name, size and fingerprint of every
+/// document in time linear in the two tables; each corpus document is
+/// hashed at most once over the corpus's lifetime (DocumentFingerprint).
 std::vector<std::string> DiagnoseStaleDocs(
     const std::vector<DocFingerprint>& docs, const Corpus& corpus);
 

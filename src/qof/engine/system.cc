@@ -813,7 +813,9 @@ Status FileQuerySystem::OpenStore(const std::string& path,
                                   PagedStoreOptions options) {
   std::lock_guard<std::mutex> lock(state_mu_);
   // Staged like ImportIndexes: a damaged or stale store must leave the
-  // installed indexes fully intact and queryable.
+  // installed indexes fully intact and queryable. The staleness check
+  // reads the corpus's memoized fingerprints: only the first open of a
+  // corpus hashes its text.
   QOF_ASSIGN_OR_RETURN(std::shared_ptr<const PagedStore> store,
                        PagedStore::Open(path, options));
   QOF_ASSIGN_OR_RETURN(std::string spec_bytes,

@@ -301,8 +301,12 @@ class FileQuerySystem {
   /// instances / posting lists page in lazily through the store's buffer
   /// pool as queries touch them. Query results are byte-identical to the
   /// in-memory indexes the store was saved from. Validates the store's
-  /// document table against the corpus (the error names stale documents)
-  /// and is all-or-nothing, like ImportIndexes. Subsequent mutations
+  /// document table against the corpus by name, size and fingerprint of
+  /// every document (the error names stale documents) and is
+  /// all-or-nothing, like ImportIndexes. The corpus memoizes fingerprints
+  /// (Corpus::DocumentFingerprint), so the first open hashes each
+  /// document once and a repeated open costs O(store metadata +
+  /// documents). Subsequent mutations
   /// (AddFile etc.) force full residency first, after which the system
   /// behaves exactly as after an ImportIndexes.
   Status OpenStore(const std::string& path, PagedStoreOptions options = {});

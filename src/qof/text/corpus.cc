@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "qof/util/wire.h"
+
 namespace qof {
 
 thread_local std::atomic<uint64_t>* Corpus::tls_scan_counter_ = nullptr;
@@ -43,6 +45,16 @@ Result<DocId> Corpus::ReplaceDocument(std::string_view name,
   QOF_ASSIGN_OR_RETURN(DocId old_id, RemoveDocument(name));
   (void)old_id;
   return AddDocument(std::string(name), text);
+}
+
+uint64_t Corpus::DocumentFingerprint(DocId id) const {
+  std::lock_guard<std::mutex> lock(fingerprint_mu_);
+  const Doc& doc = docs_[id];
+  if (!doc.fingerprinted) {
+    doc.fingerprint = Fnv1a(RawText(doc.start, doc.end));
+    doc.fingerprinted = true;
+  }
+  return doc.fingerprint;
 }
 
 Result<DocId> Corpus::DocumentAt(TextPos pos) const {

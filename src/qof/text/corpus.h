@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,8 +46,9 @@ class Corpus {
   Corpus(const Corpus&) = delete;
   Corpus& operator=(const Corpus&) = delete;
   // Hand-written moves: the scanned-byte counter is atomic (parallel
-  // two-phase workers scan candidates concurrently), and atomics are not
-  // movable by default.
+  // two-phase workers scan candidates concurrently) and the fingerprint
+  // memo has a mutex; neither is movable by default. The memo itself
+  // lives in docs_, so it moves with the table.
   Corpus(Corpus&& other) noexcept
       : text_(std::move(other.text_)),
         docs_(std::move(other.docs_)),
@@ -68,11 +70,15 @@ class Corpus {
   /// snapshot pins the current corpus clones it and mutates the clone,
   /// leaving the pinned original immutable. Deliberately not a copy
   /// constructor — accidental copies would silently duplicate megabytes.
-  /// The clone's scanned-byte counter starts at zero.
+  /// The clone's scanned-byte counter starts at zero; it keeps the
+  /// fingerprints computed so far.
   Corpus Clone() const {
     Corpus copy;
     copy.text_ = text_;
-    copy.docs_ = docs_;
+    {
+      std::lock_guard<std::mutex> lock(fingerprint_mu_);
+      copy.docs_ = docs_;
+    }
     copy.dead_docs_ = dead_docs_;
     copy.dead_bytes_ = dead_bytes_;
     return copy;
@@ -115,6 +121,12 @@ class Corpus {
   /// [start, end) span of a document in the corpus address space.
   TextPos document_start(DocId id) const { return docs_[id].start; }
   TextPos document_end(DocId id) const { return docs_[id].end; }
+
+  /// FNV-1a of document `id`'s bytes (the fingerprint a saved index's
+  /// document table records). Computed on the first request and memoized:
+  /// an id's bytes never change (a replacement is a new id), so the memo
+  /// always equals a rehash. Safe for concurrent const callers.
+  uint64_t DocumentFingerprint(DocId id) const;
 
   /// The document containing `pos` (live or tombstoned), or an error for
   /// separator/out-of-range positions.
@@ -199,10 +211,17 @@ class Corpus {
     TextPos start;
     TextPos end;
     bool live = true;
+    /// Fingerprint memo (see DocumentFingerprint), guarded by
+    /// fingerprint_mu_.
+    mutable bool fingerprinted = false;
+    mutable uint64_t fingerprint = 0;
   };
 
   std::string text_;
   std::vector<Doc> docs_;
+  /// Guards every Doc's fingerprint memo; the rest of docs_ changes only
+  /// under a non-const call.
+  mutable std::mutex fingerprint_mu_;
   size_t dead_docs_ = 0;
   uint64_t dead_bytes_ = 0;
   mutable std::atomic<uint64_t> bytes_read_{0};

@@ -315,6 +315,47 @@ TEST_F(StoreSystemTest, StaleCorpusIsRejectedByName) {
   EXPECT_NE(s.message().find("gen.bib"), std::string::npos) << s.message();
 }
 
+TEST_F(StoreSystemTest, FingerprintMemoCannotHideStaleness) {
+  // Two opens warm the corpus's fingerprint memo; a same-length edit and
+  // a compaction must still make the old store stale, by name.
+  BibtexGenOptions gen;
+  gen.num_references = 5;
+  gen.seed = 7;
+  ASSERT_TRUE(system_->AddFile("other.bib", GenerateBibtex(gen)).ok());
+  ASSERT_TRUE(system_->BuildIndexes(IndexSpec::Full()).ok());
+  const std::string path = TempPath("memo.qofstore");
+  ASSERT_TRUE(system_->SaveStore(path).ok());
+  ASSERT_TRUE(system_->OpenStore(path).ok());
+  ASSERT_TRUE(system_->OpenStore(path).ok());
+
+  std::string edited = text_;
+  const size_t title = edited.find("TITLE = \"");
+  ASSERT_NE(title, std::string::npos);
+  char& first = edited[title + 9];
+  first = first == 'Z' ? 'Y' : 'Z';
+  ASSERT_EQ(edited.size(), text_.size());
+  ASSERT_TRUE(system_->UpdateFile("gen.bib", edited).ok());
+  ASSERT_TRUE(system_->CompactIndexes().ok());
+
+  std::vector<std::string> before;
+  for (const char* fql : kQueries) {
+    auto r = system_->Execute(fql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    before.push_back(Fingerprint(*r));
+  }
+  Status s = system_->OpenStore(path);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("modified: gen.bib"), std::string::npos)
+      << s.message();
+  EXPECT_EQ(s.message().find("other.bib"), std::string::npos)
+      << s.message();
+  for (size_t i = 0; i < before.size(); ++i) {
+    auto r = system_->Execute(kQueries[i]);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(Fingerprint(*r), before[i]) << kQueries[i];
+  }
+}
+
 TEST_F(StoreSystemTest, MutationsForceResidencyAndKeepAnswering) {
   ASSERT_TRUE(system_->BuildIndexes(IndexSpec::Full()).ok());
   const std::string path = TempPath("mutate.qofstore");

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "qof/engine/index_io.h"
+#include "qof/util/wire.h"
+
 namespace qof {
 namespace {
 
@@ -65,6 +72,75 @@ TEST(CorpusTest, ScanAccountsBytesRawDoesNot) {
   EXPECT_EQ(c.bytes_read(), 14u);
   c.ResetBytesRead();
   EXPECT_EQ(c.bytes_read(), 0u);
+}
+
+TEST(CorpusTest, DocumentFingerprintIsFnv1aOfTheText) {
+  Corpus c;
+  const std::vector<std::string> texts = {"alpha", "", "gamma delta"};
+  for (size_t i = 0; i < texts.size(); ++i) {
+    ASSERT_TRUE(c.AddDocument(std::to_string(i) + ".txt", texts[i]).ok());
+  }
+  for (DocId id = 0; id < texts.size(); ++id) {
+    EXPECT_EQ(c.DocumentFingerprint(id), Fnv1a(texts[id]));
+    EXPECT_EQ(c.DocumentFingerprint(id), Fnv1a(texts[id]));  // memoized
+  }
+}
+
+TEST(CorpusTest, ReplacementGetsFreshFingerprintOldIdKeepsItsOwn) {
+  Corpus c;
+  ASSERT_TRUE(c.AddDocument("a", "old text").ok());
+  ASSERT_TRUE(c.AddDocument("b", "other").ok());
+  const uint64_t old_fp = c.DocumentFingerprint(0);
+  auto replaced = c.ReplaceDocument("a", "new text");
+  ASSERT_TRUE(replaced.ok());
+  EXPECT_EQ(c.DocumentFingerprint(*replaced), Fnv1a("new text"));
+  EXPECT_EQ(c.DocumentFingerprint(0), old_fp);
+  EXPECT_EQ(old_fp, Fnv1a("old text"));
+}
+
+TEST(CorpusTest, CloneAndMovesCarryTheFingerprints) {
+  Corpus c;
+  ASSERT_TRUE(c.AddDocument("a", "first").ok());
+  ASSERT_TRUE(c.AddDocument("b", "second").ok());
+  (void)c.DocumentFingerprint(0);  // one warm entry, one cold
+  const Corpus clone = c.Clone();
+  Corpus moved(std::move(c));
+  Corpus assigned;
+  assigned = std::move(moved);
+  for (DocId id = 0; id < 2; ++id) {
+    const uint64_t want = Fnv1a(id == 0 ? "first" : "second");
+    EXPECT_EQ(clone.DocumentFingerprint(id), want);
+    EXPECT_EQ(assigned.DocumentFingerprint(id), want);
+  }
+}
+
+TEST(CorpusTest, ConcurrentDocTableEncodesAgree) {
+  Corpus c;
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(
+        c.AddDocument(std::to_string(i) + ".txt",
+                      std::string(1000 + i, static_cast<char>('a' + i)))
+            .ok());
+  }
+  const Corpus& shared = c;
+  std::vector<std::string> tables(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < tables.size(); ++t) {
+    threads.emplace_back([&shared, &tables, t] {
+      auto table = EncodeDocTable(shared);
+      if (table.ok()) tables[t] = *table;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_FALSE(tables[0].empty());
+  for (const std::string& table : tables) EXPECT_EQ(table, tables[0]);
+  auto rows = DecodeDocTableBytes(tables[0]);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 16u);
+  for (DocId id = 0; id < 16; ++id) {
+    EXPECT_EQ((*rows)[id].fnv1a,
+              Fnv1a(c.RawText(c.document_start(id), c.document_end(id))));
+  }
 }
 
 }  // namespace
